@@ -222,23 +222,30 @@ and image_fields i =
   :: Sexp.atom (Image.img_label i)
   :: List.map fatom (Image.to_list i)
 
-let serialize v = Sexp.to_string (to_sexp v)
-
 let ( let* ) r f = Result.bind r f
-
-let parse_int s =
-  match int_of_string_opt s with
-  | Some i -> Ok i
-  | None -> Error ("not an int: " ^ s)
-
-let parse_float s =
-  match float_of_string_opt s with
-  | Some f -> Ok f
-  | None -> Error ("not a float: " ^ s)
 
 let atom_of = function
   | Sexp.Atom a -> Ok a
   | Sexp.List _ -> Error "expected atom"
+
+let int_atom s =
+  let* a = atom_of s in
+  Option.to_result ~none:("not an int: " ^ a) (int_of_string_opt a)
+
+let float_atom s =
+  let* a = atom_of s in
+  Option.to_result ~none:("not a float: " ^ a) (float_of_string_opt a)
+
+let map_result f items =
+  List.fold_left
+    (fun acc x ->
+      let* acc = acc in
+      let* y = f x in
+      Ok (y :: acc))
+    (Ok []) items
+  |> Result.map List.rev
+
+let parse_floats cells = Result.map Array.of_list (map_result float_atom cells)
 
 let rec of_sexp sexp =
   match sexp with
@@ -249,8 +256,8 @@ let rec of_sexp sexp =
 and parse_image_fields fields =
   match fields with
   | nrow :: ncol :: ptype :: label :: pixels ->
-    let* nrow = Result.bind (atom_of nrow) parse_int in
-    let* ncol = Result.bind (atom_of ncol) parse_int in
+    let* nrow = int_atom nrow in
+    let* ncol = int_atom ncol in
     let* pt_str = atom_of ptype in
     let* label = atom_of label in
     let* ptype =
@@ -258,15 +265,7 @@ and parse_image_fields fields =
       | Some p -> Ok p
       | None -> Error ("bad pixel type: " ^ pt_str)
     in
-    let* values =
-      List.fold_left
-        (fun acc p ->
-          let* acc = acc in
-          let* f = Result.bind (atom_of p) parse_float in
-          Ok (f :: acc))
-        (Ok []) pixels
-    in
-    let arr = Array.of_list (List.rev values) in
+    let* arr = parse_floats pixels in
     if Array.length arr <> nrow * ncol then Error "image pixel count mismatch"
     else
       (try Ok (Image.of_array ~label ~nrow ~ncol ptype arr)
@@ -275,8 +274,8 @@ and parse_image_fields fields =
 
 and parse_tagged tag rest =
   match tag, rest with
-  | "int", [ a ] -> Result.map int (Result.bind (atom_of a) parse_int)
-  | "float", [ a ] -> Result.map float (Result.bind (atom_of a) parse_float)
+  | "int", [ a ] -> Result.map int (int_atom a)
+  | "float", [ a ] -> Result.map float (float_atom a)
   | "string", [ a ] -> Result.map string (atom_of a)
   | "bool", [ a ] ->
     let* s = atom_of a in
@@ -286,77 +285,40 @@ and parse_tagged tag rest =
   | "image", fields -> Result.map image (parse_image_fields fields)
   | "composite", bands ->
     let* imgs =
-      List.fold_left
-        (fun acc b ->
-          let* acc = acc in
-          match b with
-          | Sexp.List (Sexp.Atom "image" :: fields) ->
-            let* img = parse_image_fields fields in
-            Ok (img :: acc)
+      map_result
+        (function
+          | Sexp.List (Sexp.Atom "image" :: fields) -> parse_image_fields fields
           | _ -> Error "composite: expected image")
-        (Ok []) bands
+        bands
     in
-    (match List.rev imgs with
+    (match imgs with
      | [] -> Error "composite: no bands"
      | l ->
        (try Ok (composite (Composite.of_bands l))
         with Invalid_argument m -> Error m))
   | "matrix", rows :: cols :: cells ->
-    let* rows = Result.bind (atom_of rows) parse_int in
-    let* cols = Result.bind (atom_of cols) parse_int in
-    let* values =
-      List.fold_left
-        (fun acc c ->
-          let* acc = acc in
-          let* f = Result.bind (atom_of c) parse_float in
-          Ok (f :: acc))
-        (Ok []) cells
-    in
-    let arr = Array.of_list (List.rev values) in
+    let* rows = int_atom rows in
+    let* cols = int_atom cols in
+    let* arr = parse_floats cells in
     if Array.length arr <> rows * cols then Error "matrix cell count mismatch"
     else if rows <= 0 || cols <= 0 then Error "matrix: bad dims"
     else
       Ok (matrix (Matrix.init ~rows ~cols (fun i j -> arr.((i * cols) + j))))
-  | "vector", cells ->
-    let* values =
-      List.fold_left
-        (fun acc c ->
-          let* acc = acc in
-          let* f = Result.bind (atom_of c) parse_float in
-          Ok (f :: acc))
-        (Ok []) cells
-    in
-    Ok (vector (Array.of_list (List.rev values)))
+  | "vector", cells -> Result.map vector (parse_floats cells)
   | "box", [ a; b; c; d ] ->
-    let* xmin = Result.bind (atom_of a) parse_float in
-    let* ymin = Result.bind (atom_of b) parse_float in
-    let* xmax = Result.bind (atom_of c) parse_float in
-    let* ymax = Result.bind (atom_of d) parse_float in
+    let* xmin = float_atom a in
+    let* ymin = float_atom b in
+    let* xmax = float_atom c in
+    let* ymax = float_atom d in
     (try Ok (box (Box.make ~xmin ~ymin ~xmax ~ymax))
      with Invalid_argument m -> Error m)
   | "abstime", [ a ] ->
-    Result.map
-      (fun s -> abstime (Abstime.of_seconds s))
-      (Result.bind (atom_of a) parse_int)
+    Result.map (fun s -> abstime (Abstime.of_seconds s)) (int_atom a)
   | "interval", [ a; b ] ->
-    let* s = Result.bind (atom_of a) parse_int in
-    let* e = Result.bind (atom_of b) parse_int in
+    let* s = int_atom a in
+    let* e = int_atom b in
     (try
        Ok (interval (Interval.make (Abstime.of_seconds s) (Abstime.of_seconds e)))
      with Invalid_argument m -> Error m)
-  | "set", items ->
-    let* parsed =
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* v = of_sexp item in
-          Ok (v :: acc))
-        (Ok []) items
-    in
-    Ok (set (List.rev parsed))
+  | "set", items -> Result.map set (map_result of_sexp items)
   | tag, _ -> Error ("unknown or malformed tag: " ^ tag)
-
-let deserialize s =
-  match Sexp.of_string s with
-  | Error e -> Error e
-  | Ok sexp -> of_sexp sexp

@@ -64,8 +64,14 @@ val to_display : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val serialize : t -> string
-(** One-line textual encoding, inverse of {!deserialize}.  Images and
-    composites are encoded in full (dims, type, pixels). *)
+val to_sexp : t -> Sexp.t
+(** The value codec of the save file: a tagged list such as
+    [(int 3)], [(box xmin ymin xmax ymax)] or
+    [(image nrow ncol ptype label px...)].  Images, composites and
+    matrices are encoded in full; every float is a [%h] hex literal,
+    so the encoding round-trips bit for bit (NaN payloads aside). *)
 
-val deserialize : string -> (t, string) result
+val of_sexp : Sexp.t -> (t, string) result
+(** Inverse of {!to_sexp}.  Malformed input, including a pixel or
+    cell count that disagrees with the stated dimensions, is an
+    [Error], never an exception. *)

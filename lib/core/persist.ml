@@ -17,13 +17,8 @@ let atom_of = function
   | Sexp.Atom a -> Ok a
   | Sexp.List _ -> Gaea_error.err "expected atom"
 
-let value_to_sexp v =
-  Result.get_ok (Sexp.of_string (Value.serialize v))
-
-let value_of_sexp s =
-  match Value.deserialize (Sexp.to_string s) with
-  | Ok v -> Ok v
-  | Error e -> Error (Gaea_error.Parse_error e)
+let parse_error r = Result.map_error (fun e -> Gaea_error.Parse_error e) r
+let value_of_sexp s = parse_error (Value.of_sexp s)
 
 let map_m f items =
   List.fold_left
@@ -33,6 +28,20 @@ let map_m f items =
       Ok (y :: acc))
     (Ok []) items
   |> Result.map List.rev
+
+let iter_m f items =
+  List.fold_left (fun acc x -> Result.bind acc (fun () -> f x)) (Ok ()) items
+
+(* process parameters and task parameters share one encoding *)
+let params_to_sexp params =
+  Sexp.list
+    (List.map (fun (n, v) -> Sexp.list [ Sexp.atom n; Value.to_sexp v ]) params)
+
+let params_of_sexp =
+  map_m (function
+    | Sexp.List [ Sexp.Atom n; v ] ->
+      Result.map (fun v -> (n, v)) (value_of_sexp v)
+    | _ -> Gaea_error.err "malformed parameter")
 
 (* --- schema --------------------------------------------------------- *)
 
@@ -74,7 +83,7 @@ let class_of_sexp = function
 (* --- template ------------------------------------------------------- *)
 
 let rec expr_to_sexp = function
-  | Template.Const v -> Sexp.list [ Sexp.atom "const"; value_to_sexp v ]
+  | Template.Const v -> Sexp.list [ Sexp.atom "const"; Value.to_sexp v ]
   | Template.Attr_of (a, attr) ->
     Sexp.list [ Sexp.atom "attr"; Sexp.atom a; Sexp.atom attr ]
   | Template.Param p -> Sexp.list [ Sexp.atom "param"; Sexp.atom p ]
@@ -191,10 +200,7 @@ let process_to_sexp (p : Process.t) =
       iatom p.Process.version;
       Sexp.atom p.Process.output_class;
       Sexp.list (List.map arg_to_sexp p.Process.args);
-      Sexp.list
-        (List.map
-           (fun (n, v) -> Sexp.list [ Sexp.atom n; value_to_sexp v ])
-           p.Process.params);
+      params_to_sexp p.Process.params;
       kind;
       Sexp.atom p.Process.doc;
       (match p.Process.derived_from with
@@ -208,14 +214,7 @@ let process_of_sexp = function
     ->
     let* version = parse_int version in
     let* args = map_m arg_of_sexp args in
-    let* params =
-      map_m
-        (function
-          | Sexp.List [ Sexp.Atom n; v ] ->
-            Result.map (fun v -> (n, v)) (value_of_sexp v)
-          | _ -> Gaea_error.err "malformed parameter")
-        params
-    in
+    let* params = params_of_sexp params in
     let* base =
       match kind with
       | Sexp.List [ Sexp.Atom "primitive"; t ] ->
@@ -246,7 +245,8 @@ let process_of_sexp = function
         Process.define_compound ~name ~doc ~output_class:output ~args ~steps ()
       | _ -> Gaea_error.err "malformed process kind"
     in
-    (* restore identity fields the public constructors normalize *)
+    (* the public constructors make version 1 with no origin; restore
+       the saved identity *)
     let* derived_from =
       match derived_from with
       | Sexp.Atom "-" -> Ok None
@@ -254,27 +254,8 @@ let process_of_sexp = function
         Result.map (fun v -> Some (n, v)) (parse_int v)
       | _ -> Gaea_error.err "malformed derived_from"
     in
-    Ok (name, version, derived_from, base)
+    Ok (Process.with_version ?derived_from base version)
   | _ -> Gaea_error.err "malformed process"
-
-(* Process.t is private; to restore version/derived_from we replay the
-   edit history shape: define the base then re-edit.  Simpler and exact:
-   construct through edit when version > 1. *)
-let restore_process kernel (name, version, derived_from, base) =
-  (* versions must be loaded in ascending order; we synthesize the exact
-     version by chained edits from the parsed definition *)
-  let rec bump p =
-    if p.Process.version >= version then Ok p
-    else
-      let* p' = Process.edit p ~name () in
-      bump p'
-  in
-  let* p = bump base in
-  (* derived_from in the save wins over what edit synthesized; since the
-     record is private we cannot patch it — acceptable: lineage of edits
-     is re-derivable, tasks reference (name, version) which we preserved *)
-  ignore derived_from;
-  Kernel.define_process kernel p
 
 (* --- concepts ------------------------------------------------------- *)
 
@@ -309,21 +290,15 @@ let restore_concepts kernel = function
         entries
     in
     let* () =
-      List.fold_left
-        (fun acc (name, members, _, doc) ->
-          let* () = acc in
-          Result.map (fun _ -> ()) (Concept.define concepts ~name ~doc ~members ()))
-        (Ok ()) parsed
+      iter_m
+        (fun (name, members, _, doc) ->
+          Result.map ignore (Concept.define concepts ~name ~doc ~members ()))
+        parsed
     in
-    List.fold_left
-      (fun acc (name, _, parents, _) ->
-        let* () = acc in
-        List.fold_left
-          (fun acc super ->
-            let* () = acc in
-            Concept.add_isa concepts ~sub:name ~super)
-          (Ok ()) parents)
-      (Ok ()) parsed
+    iter_m
+      (fun (name, _, parents, _) ->
+        iter_m (fun super -> Concept.add_isa concepts ~sub:name ~super) parents)
+      parsed
   | _ -> Gaea_error.err "malformed concepts section"
 
 (* --- objects -------------------------------------------------------- *)
@@ -339,7 +314,7 @@ let objects_to_sexp kernel (c : Schema.t) =
               (iatom oid
                :: List.map
                     (fun a ->
-                      value_to_sexp
+                      Value.to_sexp
                         (Option.get (Kernel.object_attr kernel ~cls oid a)))
                     attrs))
           (Kernel.objects_of_class kernel cls))
@@ -350,18 +325,56 @@ let restore_objects kernel = function
      | None -> Gaea_error.err ("objects for unknown class " ^ cls)
      | Some def ->
        let attrs = Schema.attr_names def in
-       List.fold_left
-         (fun acc row ->
-           let* () = acc in
-           match row with
+       iter_m
+         (function
            | Sexp.List (oid :: values) when List.length values = List.length attrs ->
              let* oid = parse_int oid in
              let* values = map_m value_of_sexp values in
              Kernel.insert_object_with_oid kernel ~cls oid
                (List.combine attrs values)
            | _ -> Gaea_error.err "malformed object row")
-         (Ok ()) rows)
+         rows)
   | _ -> Gaea_error.err "malformed objects section"
+
+(* --- tasks ---------------------------------------------------------- *)
+
+let task_to_sexp (t : Task.t) =
+  Sexp.list
+    [ Sexp.atom "task";
+      iatom t.Task.task_id;
+      Sexp.atom t.Task.process;
+      iatom t.Task.process_version;
+      Sexp.list
+        (List.map
+           (fun (arg, oids) -> Sexp.list (Sexp.atom arg :: List.map iatom oids))
+           t.Task.inputs);
+      params_to_sexp t.Task.params;
+      Sexp.list (List.map iatom t.Task.outputs);
+      Sexp.atom t.Task.output_class;
+      iatom t.Task.clock ]
+
+let task_of_sexp = function
+  | Sexp.List
+      [ Sexp.Atom "task"; id; Sexp.Atom process; version; Sexp.List inputs;
+        Sexp.List params; Sexp.List outputs; Sexp.Atom output_class; clock ]
+    ->
+    let* task_id = parse_int id in
+    let* process_version = parse_int version in
+    let* inputs =
+      map_m
+        (function
+          | Sexp.List (Sexp.Atom arg :: oids) ->
+            Result.map (fun oids -> (arg, oids)) (map_m parse_int oids)
+          | _ -> Gaea_error.err "malformed input binding")
+        inputs
+    in
+    let* params = params_of_sexp params in
+    let* outputs = map_m parse_int outputs in
+    let* clock = parse_int clock in
+    Ok
+      { Task.task_id; process; process_version; inputs; params; outputs;
+        output_class; clock }
+  | _ -> Gaea_error.err "malformed task"
 
 (* --- cache statistics ------------------------------------------------ *)
 
@@ -401,18 +414,12 @@ let save kernel =
     (fun p -> emit (process_to_sexp p))
     (Kernel.all_process_versions kernel);
   List.iter (fun c -> emit (objects_to_sexp kernel c)) (Kernel.classes kernel);
-  List.iter
-    (fun task -> emit (Task.to_sexp task))
-    (Kernel.tasks kernel);
+  List.iter (fun task -> emit (task_to_sexp task)) (Kernel.tasks kernel);
   emit (cache_stats_to_sexp kernel);
   Buffer.contents buf
 
 let load text =
-  let* sexps =
-    match Sexp.of_string_many text with
-    | Ok sexps -> Ok sexps
-    | Error e -> Error (Gaea_error.Parse_error e)
-  in
+  let* sexps = parse_error (Sexp.of_string_many text) in
   let kernel = Kernel.create () in
   (* compound processes reference their primitive sub-processes, so
      restore processes primitives-first regardless of file order *)
@@ -423,35 +430,27 @@ let load text =
          sexps)
   in
   let primitives, compounds =
-    List.partition (fun (_, _, _, p) -> Process.is_primitive p) parsed_processes
+    List.partition Process.is_primitive parsed_processes
   in
   let* () =
-    List.fold_left
-      (fun acc sexp ->
-        let* () = acc in
+    iter_m
+      (fun sexp ->
         match sexp with
         | Sexp.List (Sexp.Atom "class" :: _) ->
           let* c = class_of_sexp sexp in
           Kernel.define_class kernel c
         | Sexp.List (Sexp.Atom "concepts" :: _) -> restore_concepts kernel sexp
         | _ -> Ok ())
-      (Ok ()) sexps
+      sexps
   in
+  let* () = iter_m (Kernel.define_process kernel) (primitives @ compounds) in
   let* () =
-    List.fold_left
-      (fun acc p ->
-        let* () = acc in
-        restore_process kernel p)
-      (Ok ()) (primitives @ compounds)
-  in
-  let* () =
-    List.fold_left
-      (fun acc sexp ->
-        let* () = acc in
+    iter_m
+      (fun sexp ->
         match sexp with
         | Sexp.List (Sexp.Atom "objects" :: _) -> restore_objects kernel sexp
         | Sexp.List (Sexp.Atom "task" :: _) ->
-          let* task = Task.of_sexp sexp in
+          let* task = task_of_sexp sexp in
           Kernel.restore_task kernel task
         | Sexp.List (Sexp.Atom "cache-stats" :: _) ->
           (* counters survive the round trip; saves predating the
@@ -459,19 +458,27 @@ let load text =
           restore_cache_stats kernel sexp
         | Sexp.List (Sexp.Atom ("class" | "concepts" | "process") :: _) -> Ok ()
         | _ -> Gaea_error.err "unknown section")
-      (Ok ()) sexps
+      sexps
   in
   Ok kernel
 
 let save_to_file kernel path =
-  try
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (save kernel);
-        Ok ())
-  with Sys_error e -> Error (Gaea_error.Io_error e)
+  let text = save kernel in
+  match
+    Filename.open_temp_file ~perms:0o666 ~temp_dir:(Filename.dirname path)
+      (Filename.basename path) ".tmp"
+  with
+  | exception Sys_error e -> Error (Gaea_error.Io_error e)
+  | tmp, oc ->
+    (try
+       output_string oc text;
+       close_out oc;
+       Sys.rename tmp path;
+       Ok ()
+     with Sys_error e ->
+       close_out_noerr oc;
+       (try Sys.remove tmp with Sys_error _ -> ());
+       Error (Gaea_error.Io_error e))
 
 let load_from_file path =
   try

@@ -18,4 +18,8 @@ val load : string -> (Kernel.t, Gaea_error.t) result
     [Lineage.verify_object] on any object reproduces it exactly. *)
 
 val save_to_file : Kernel.t -> string -> (unit, Gaea_error.t) result
+(** Writes a temp file in the target's directory, then renames it over
+    the target, so the previous file survives a failed save.  On
+    failure the temp file is removed and the result is [Io_error]. *)
+
 val load_from_file : string -> (Kernel.t, Gaea_error.t) result

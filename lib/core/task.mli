@@ -1,7 +1,8 @@
 (** Tasks (paper Section 2.1.2): "the instantiation of a process with
     input data objects [...] recorded as a relationship among instances
     of non-primitive classes" — the provenance record of every derived
-    object. *)
+    object.  Its save-file encoding lives in {!Persist}, beside the
+    other sections of a saved kernel. *)
 
 type t = {
   task_id : int;
@@ -20,6 +21,4 @@ type t = {
 val input_oids : t -> Gaea_storage.Oid.t list
 (** All inputs, flattened, sorted, deduplicated. *)
 
-val to_sexp : t -> Gaea_adt.Sexp.t
-val of_sexp : Gaea_adt.Sexp.t -> (t, Gaea_error.t) result
 val pp : Format.formatter -> t -> unit

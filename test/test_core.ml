@@ -398,8 +398,13 @@ let test_task_sexp_roundtrip () =
       params = [ ("k", Value.int 12); ("cutoff", Value.float 2.5) ];
       outputs = [ 100 ]; output_class = "land_cover"; clock = 17 }
   in
-  match Task.of_sexp (Task.to_sexp task) with
-  | Ok t' ->
+  (* the task codec is a section of the save file: restore the task
+     into an empty kernel and read it back after a save/load *)
+  let k = Kernel.create () in
+  ok (Kernel.restore_task k task);
+  match Persist.load (Persist.save k) with
+  | Ok k2 ->
+    let t' = Option.get (Kernel.find_task k2 task.Task.task_id) in
     check_int "id" task.Task.task_id t'.Task.task_id;
     check_bool "inputs" true (t'.Task.inputs = task.Task.inputs);
     check_bool "params" true
@@ -839,6 +844,142 @@ let test_persist_versions_roundtrip () =
     check_bool "latest is v2" true
       ((Option.get (Kernel.find_process k2 "negate")).Process.version = 2)
 
+let test_persist_derived_from_roundtrip () =
+  let k = simple_kernel () in
+  let v1 = Option.get (Kernel.find_process k "negate") in
+  let renamed = ok (Process.edit v1 ~name:"renegate" ~doc:"renamed edit" ()) in
+  ok (Kernel.define_process k renamed);
+  let v2 = ok (Process.edit v1 ~name:"negate" ()) in
+  ok (Kernel.define_process k v2);
+  let v3 = ok (Process.edit v2 ~name:"negate" ~doc:"third version" ()) in
+  ok (Kernel.define_process k v3);
+  let k2 = ok (Persist.load (Persist.save k)) in
+  List.iter
+    (fun (p : Process.t) ->
+      let name = Printf.sprintf "%s v%d" p.Process.proc_name p.Process.version in
+      match Kernel.find_process k2 ~version:p.Process.version p.Process.proc_name with
+      | None -> Alcotest.failf "%s not restored" name
+      | Some q ->
+        check_int (name ^ " version") p.Process.version q.Process.version;
+        check_bool (name ^ " derived_from") true
+          (p.Process.derived_from = q.Process.derived_from);
+        check_str (name ^ " pp")
+          (Format.asprintf "%a" Process.pp p)
+          (Format.asprintf "%a" Process.pp q))
+    [ renamed; v3 ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let remove_tree dir =
+  Array.iter
+    (fun f ->
+      let f = Filename.concat dir f in
+      if Sys.is_directory f then begin
+        Array.iter (fun g -> Sys.remove (Filename.concat f g)) (Sys.readdir f);
+        Sys.rmdir f
+      end
+      else Sys.remove f)
+    (Sys.readdir dir);
+  Sys.rmdir dir
+
+let test_persist_file_roundtrip () =
+  let k = simple_kernel () in
+  ignore (insert_src k 1 1.5);
+  let dir = Filename.temp_dir "gaea-persist" "" in
+  let path = Filename.concat dir "kernel.db" in
+  ok (Persist.save_to_file k path);
+  check_str "file holds the save text" (Persist.save k) (read_file path);
+  let k2 = ok (Persist.load_from_file path) in
+  check_str "loaded kernel saves the same" (Persist.save k) (Persist.save k2);
+  Alcotest.(check (array string)) "no temp file left" [| "kernel.db" |]
+    (Sys.readdir dir);
+  remove_tree dir
+
+let test_persist_save_rename_fails () =
+  (* the target is a non-empty directory, so the final rename fails *)
+  let dir = Filename.temp_dir "gaea-persist" "" in
+  let target = Filename.concat dir "target" in
+  Sys.mkdir target 0o755;
+  Out_channel.with_open_bin (Filename.concat target "keep") (fun oc ->
+      output_string oc "precious");
+  (match Persist.save_to_file (simple_kernel ()) target with
+   | Error (Gaea_error.Io_error _) -> ()
+   | Error e -> Alcotest.failf "wrong error: %s" (Gaea_error.to_string e)
+   | Ok () -> Alcotest.fail "save over a directory succeeded");
+  Alcotest.(check (array string)) "no temp file left" [| "target" |]
+    (Sys.readdir dir);
+  Alcotest.(check (array string)) "directory untouched" [| "keep" |]
+    (Sys.readdir target);
+  check_str "contents untouched" "precious"
+    (read_file (Filename.concat target "keep"));
+  remove_tree dir
+
+(* test/fixtures/pipeline.save was written by [gaea run --save] on
+   examples/pipeline.gaea; it pins the save-file format byte for byte *)
+let fixture = "fixtures/pipeline.save"
+
+let test_persist_golden_fixture () =
+  let golden = read_file fixture in
+  let session = Gaea_query.Session.create () in
+  ignore (ok (Gaea_query.Session.run_string session
+                (read_file "../examples/pipeline.gaea")));
+  check_str "script saves the fixture" golden
+    (Persist.save (Gaea_query.Session.kernel session));
+  let k = ok (Persist.load golden) in
+  check_str "load then save reproduces the fixture" golden (Persist.save k);
+  check_bool "fixture has tasks" true (Kernel.tasks k <> []);
+  List.iter
+    (fun (t : Task.t) ->
+      List.iter
+        (fun oid ->
+          check_bool (Printf.sprintf "object %d verifies" oid) true
+            (ok (Lineage.verify_object k oid)))
+        t.Task.outputs)
+    (Kernel.tasks k)
+
+(* a saved kernel with every section populated: a concept hierarchy,
+   an edited process, objects and a task *)
+let small_save =
+  lazy
+    (let k = simple_kernel () in
+     let concepts = Kernel.concepts k in
+     ignore (ok (Concept.define concepts ~name:"any" ~members:[ "src" ] ()));
+     ignore (ok (Concept.define concepts ~name:"derived" ~members:[ "out" ] ()));
+     ok (Concept.add_isa concepts ~sub:"derived" ~super:"any");
+     let v1 = Option.get (Kernel.find_process k "negate") in
+     ok (Kernel.define_process k (ok (Process.edit v1 ~name:"renegate" ())));
+     let oid = insert_src k 1 2.0 in
+     let binding =
+       ok (Kernel.find_binding k v1 ~available:[ ("src", [ oid ]) ])
+     in
+     ignore (ok (Kernel.execute_process k v1 ~inputs:binding));
+     Persist.save k)
+
+let load_never_raises text =
+  match Persist.load text with
+  | Ok _ | Error _ -> true
+  | exception e ->
+    QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e)
+
+let test_persist_truncations () =
+  List.iter
+    (fun text ->
+      for n = 0 to String.length text do
+        match Persist.load (String.sub text 0 n) with
+        | Ok _ | Error _ -> ()
+        | exception e ->
+          Alcotest.failf "prefix of %d bytes raised %s" n (Printexc.to_string e)
+      done)
+    [ Lazy.force small_save; read_file fixture ]
+
+let corruption_prop =
+  QCheck.Test.make ~name:"single-byte corruptions never raise" ~count:500
+    QCheck.(pair (int_bound 1_000_000) char)
+    (fun (pos, c) ->
+      let text = Bytes.of_string (Lazy.force small_save) in
+      Bytes.set text (pos mod Bytes.length text) c;
+      load_never_raises (Bytes.to_string text))
+
 let test_persist_garbage () =
   check_bool "garbage rejected" true (Result.is_error (Persist.load "(what)"));
   check_bool "empty ok" true (Result.is_ok (Persist.load ""))
@@ -913,5 +1054,11 @@ let () =
       ( "persist",
         [ tc "share-and-reproduce roundtrip" test_persist_roundtrip;
           tc "versions roundtrip" test_persist_versions_roundtrip;
-          tc "garbage" test_persist_garbage ] );
+          tc "derived_from roundtrip" test_persist_derived_from_roundtrip;
+          tc "garbage" test_persist_garbage;
+          tc "file roundtrip" test_persist_file_roundtrip;
+          tc "failed rename keeps target" test_persist_save_rename_fails;
+          tc "golden fixture" test_persist_golden_fixture;
+          tc "truncations never raise" test_persist_truncations;
+          QCheck_alcotest.to_alcotest corruption_prop ] );
       ("template", [ tc "introspection" test_template_introspection ]) ]
