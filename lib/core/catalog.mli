@@ -1,12 +1,12 @@
 (** The class catalog: class definitions plus their backing tables.
 
     Owns the derivation level's {e static} half — every defined
-    {!Schema.t} and the store table that holds its objects.  Emits
+    {!Schema.t} and the table that holds its objects.  Emits
     [Class_defined] on the bus; the derivation-net cache listens. *)
 
 type t
 
-val create : store:Gaea_storage.Store.t -> bus:Events.bus -> t
+val create : bus:Events.bus -> t
 
 val define : t -> Schema.t -> (unit, Gaea_error.t) result
 (** Creates the backing table; errors on duplicate class names or a

@@ -3,7 +3,6 @@
    event bus, preserving the historical flat API. *)
 
 module Registry = Gaea_adt.Registry
-module Store = Gaea_storage.Store
 module Marking = Gaea_petri.Marking
 module Events = Events
 
@@ -47,7 +46,6 @@ type net_view = Provenance.net_view = {
 
 type t = {
   registry : Registry.t;
-  store : Store.t;
   bus : Events.bus;
   metrics : Metrics.t;
   catalog : Catalog.t;
@@ -61,7 +59,6 @@ type t = {
 
 let create () =
   let registry = Registry.with_builtins () in
-  let store = Store.create () in
   let bus = Events.create () in
   (* subscription order fixes notification order: metrics first, then
      the net cache (inside Provenance.create), then the result cache
@@ -69,8 +66,8 @@ let create () =
      Refresh.create) *)
   let metrics = Metrics.create () in
   Metrics.attach bus metrics;
-  let catalog = Catalog.create ~store ~bus in
-  let objects = Obj_store.create ~store ~catalog ~bus in
+  let catalog = Catalog.create ~bus in
+  let objects = Obj_store.create ~catalog ~bus in
   let procs = Proc_registry.create ~catalog ~bus in
   let prov = Provenance.create ~bus in
   let deriver =
@@ -79,12 +76,11 @@ let create () =
   let refresh =
     Refresh.create ~objects ~procs ~prov ~deriver ~bus
   in
-  { registry; store; bus; metrics; catalog; objects; procs;
+  { registry; bus; metrics; catalog; objects; procs;
     concepts = Concept.create (); prov; deriver; refresh }
 
 (* system level *)
 let registry t = t.registry
-let store t = t.store
 let concepts t = t.concepts
 
 (* events *)

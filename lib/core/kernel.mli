@@ -14,7 +14,7 @@ type t
 
 val create : unit -> t
 (** Fresh kernel with the built-in registry ({!Gaea_adt.Registry.with_builtins})
-    and an empty store. *)
+    and no classes or objects. *)
 
 (** {2 Events} *)
 
@@ -30,7 +30,6 @@ val event_log : t -> (int * Events.event) list
 (** {2 System level} *)
 
 val registry : t -> Gaea_adt.Registry.t
-val store : t -> Gaea_storage.Store.t
 
 (** {2 Classes (derivation level, static)} *)
 
@@ -138,7 +137,7 @@ val insert_object_with_oid :
   t -> cls:string -> Gaea_storage.Oid.t -> (string * Gaea_adt.Value.t) list
   -> (unit, Gaea_error.t) result
 (** Insert under a caller-chosen OID (kernel restore); advances the
-    store's allocator past it. *)
+    OID allocator past it. *)
 
 val restore_task : t -> Task.t -> (unit, Gaea_error.t) result
 (** Append a previously recorded task verbatim (kernel restore): indexes

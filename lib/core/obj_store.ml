@@ -1,17 +1,20 @@
-module Store = Gaea_storage.Store
 module Table = Gaea_storage.Table
 module Tuple = Gaea_storage.Tuple
 module Oid = Gaea_storage.Oid
 
 type t = {
-  store : Store.t;
+  alloc : Oid.allocator;
   catalog : Catalog.t;
   oid_class : (Oid.t, string) Hashtbl.t;
   bus : Events.bus;
 }
 
-let create ~store ~catalog ~bus =
-  { store; catalog; oid_class = Hashtbl.create 256; bus }
+let create ~catalog ~bus =
+  { alloc = Oid.allocator (); catalog; oid_class = Hashtbl.create 256; bus }
+
+(* For a class already known to be defined (by [Catalog.find] or the
+   oid → class map); the catalog never drops a class. *)
+let table t cls = Option.get (Catalog.table t.catalog cls)
 
 let insert t ~cls pairs =
   match Catalog.find t.catalog cls with
@@ -30,9 +33,11 @@ let insert t ~cls pairs =
            (String.concat ", " (List.map fst extra)))
     else begin
       let values = List.map (fun a -> List.assoc a pairs) attrs in
-      match Store.insert_values t.store ~table:cls values with
+      (* allocated before the insert: a failed insert still consumes it *)
+      let oid = Oid.fresh t.alloc in
+      match Table.insert (table t cls) oid values with
       | Error e -> Error (Gaea_error.Storage_error e)
-      | Ok oid ->
+      | Ok () ->
         Hashtbl.replace t.oid_class oid cls;
         Events.emit t.bus (Events.Object_inserted { cls; oid });
         Ok oid
@@ -50,9 +55,10 @@ let insert_with_oid t ~cls oid pairs =
            (String.concat ", " missing))
     else begin
       let values = List.map (fun a -> List.assoc a pairs) attrs in
-      match Store.insert_with_oid t.store ~table:cls oid values with
+      match Table.insert (table t cls) oid values with
       | Error e -> Error (Gaea_error.Storage_error e)
       | Ok () ->
+        Oid.advance_to t.alloc oid;
         Hashtbl.replace t.oid_class oid cls;
         Ok ()
     end
@@ -99,7 +105,7 @@ let delete t ~cls oid =
   | None -> Error (Gaea_error.Unknown_object oid)
   | Some actual when actual <> cls -> Error (Gaea_error.Wrong_class { oid; cls })
   | Some _ ->
-    if Store.delete t.store ~table:cls oid then begin
+    if Table.delete (table t cls) oid then begin
       Hashtbl.remove t.oid_class oid;
       Events.emit t.bus (Events.Object_deleted { cls; oid });
       Ok ()
@@ -110,7 +116,8 @@ let delete t ~cls oid =
         (Gaea_error.Storage_error
            (Printf.sprintf "delete of %s #%d failed" cls oid))
 
-let tuple t ~cls oid = Store.get t.store ~table:cls oid
+let tuple t ~cls oid =
+  Option.bind (Catalog.table t.catalog cls) (fun tab -> Table.get tab oid)
 
 let attr t ~cls oid attr =
   match Catalog.table t.catalog cls with

@@ -1,4 +1,5 @@
-(** Object CRUD over the catalog's tables, plus the oid → class map.
+(** Object CRUD over the catalog's tables, plus the OID allocator and
+    the oid → class map.
 
     Emits [Object_inserted] / [Object_deleted] on the bus; the result
     cache invalidates itself on deletions by subscription. *)
@@ -7,20 +8,20 @@ module Oid = Gaea_storage.Oid
 
 type t
 
-val create :
-  store:Gaea_storage.Store.t -> catalog:Catalog.t -> bus:Events.bus -> t
+val create : catalog:Catalog.t -> bus:Events.bus -> t
 
 val insert :
   t -> cls:string -> (string * Gaea_adt.Value.t) list
   -> (Oid.t, Gaea_error.t) result
 (** Attribute-name/value pairs; every class attribute must be given
-    exactly once.  Emits [Object_inserted]. *)
+    exactly once.  The OID is allocated before the insert, so a failed
+    insert still consumes one.  Emits [Object_inserted]. *)
 
 val insert_with_oid :
   t -> cls:string -> Oid.t -> (string * Gaea_adt.Value.t) list
   -> (unit, Gaea_error.t) result
 (** Insert under a caller-chosen OID (kernel restore); advances the
-    store's allocator past it.  Event-silent: restores must not look
+    allocator past it.  Event-silent: restores must not look
     like fresh mutations to subscribers. *)
 
 val update :

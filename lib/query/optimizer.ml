@@ -6,6 +6,8 @@ module Derivation = Gaea_core.Derivation
 module Schema = Gaea_core.Schema
 module Table = Gaea_storage.Table
 module Stats = Gaea_storage.Stats
+module Tuple = Gaea_storage.Tuple
+module Vorder = Gaea_storage.Vorder
 module Backchain = Gaea_petri.Backchain
 module Abstime = Gaea_geo.Abstime
 module Box = Gaea_geo.Box
@@ -31,6 +33,23 @@ let resolve_source k source =
     end
     else Gaea_error.err (Printf.sprintf "unknown class or concept %s" source)
 
+(* Whether [tab]'s indexes on [attr] answer a predicate with literal [v]
+   exactly as the residual check would.  The btree orders keys as
+   Vorder.compare does, so it serves any literal Vorder orders against
+   the attribute's type (ints and floats mix); a hash index matches by
+   Value.equal, so it serves only literals of the attribute's own type.
+   Any other predicate is left to the scan, whose answer is the
+   residual's by construction. *)
+let btree_serves tab attr v =
+  Table.has_btree_index tab attr
+  && match Tuple.attr_type (Table.descriptor tab) attr with
+     | Some ty -> Vorder.comparable ty (Value.type_of v)
+     | None -> false
+
+let hash_serves tab attr v =
+  Table.has_hash_index tab attr
+  && Tuple.attr_type (Table.descriptor tab) attr = Some (Value.type_of v)
+
 (* pick the best indexable predicate on the (first) class *)
 let choose_path k cls preds =
   match Kernel.class_table k cls with
@@ -41,22 +60,20 @@ let choose_path k cls preds =
       List.filter_map
         (fun pred ->
           match pred with
-          | Ast.P_compare (attr, Ast.C_eq, lit)
-            when Table.has_hash_index tab attr
-                 || Table.has_btree_index tab attr ->
-            Some (pred, Plan.Index_eq (attr, literal_value lit),
-                  Stats.selectivity_eq stats attr)
-          | Ast.P_compare (attr, (Ast.C_lt | Ast.C_le), lit)
-            when Table.has_btree_index tab attr ->
-            Some (pred, Plan.Index_range (attr, None, Some (literal_value lit)), 0.3)
-          | Ast.P_compare (attr, (Ast.C_gt | Ast.C_ge), lit)
-            when Table.has_btree_index tab attr ->
-            Some (pred, Plan.Index_range (attr, Some (literal_value lit), None), 0.3)
-          | Ast.P_at (attr, lit) when Table.has_btree_index tab attr ->
-            (* same-day window *)
+          | Ast.P_compare (attr, cmp, lit) ->
             let v = literal_value lit in
-            (match v with
-             | Value.VAbstime t ->
+            (match cmp with
+             | Ast.C_eq when btree_serves tab attr v || hash_serves tab attr v ->
+               Some (pred, Plan.Index_eq (attr, v), Stats.selectivity_eq stats attr)
+             | (Ast.C_lt | Ast.C_le) when btree_serves tab attr v ->
+               Some (pred, Plan.Index_range (attr, None, Some v), 0.3)
+             | (Ast.C_gt | Ast.C_ge) when btree_serves tab attr v ->
+               Some (pred, Plan.Index_range (attr, Some v, None), 0.3)
+             | _ -> None)
+          | Ast.P_at (attr, lit) ->
+            (* same-day window *)
+            (match literal_value lit with
+             | Value.VAbstime t as v when btree_serves tab attr v ->
                Some
                  ( pred,
                    Plan.Index_range
@@ -72,7 +89,12 @@ let choose_path k cls preds =
        List.sort (fun (_, _, s1) (_, _, s2) -> Float.compare s1 s2) candidates
      with
      | (chosen, path, sel) :: _ ->
-       let residual = List.filter (fun p -> p != chosen) preds in
+       (* index ranges are closed: a strict bound is re-checked per row *)
+       let strict = function
+         | Ast.P_compare (_, (Ast.C_lt | Ast.C_gt), _) -> true
+         | _ -> false
+       in
+       let residual = List.filter (fun p -> p != chosen || strict p) preds in
        (path, residual, sel)
      | [] -> (Plan.Full_scan, preds, 1.0))
 

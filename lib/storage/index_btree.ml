@@ -21,8 +21,6 @@ let create ktype =
          (Vtype.to_string ktype))
   else Ok { ktype; map = VMap.empty }
 
-let key_type t = t.ktype
-
 let check_key t key =
   let actual = Value.type_of key in
   (* ints may key float indexes: Vorder compares them numerically *)

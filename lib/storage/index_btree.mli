@@ -7,7 +7,6 @@ type t
 val create : Gaea_adt.Vtype.t -> (t, string) result
 (** Errors on a non-orderable key type. *)
 
-val key_type : t -> Gaea_adt.Vtype.t
 val add : t -> Gaea_adt.Value.t -> Oid.t -> (unit, string) result
 (** Errors on a key of the wrong type. *)
 

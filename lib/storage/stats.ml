@@ -65,16 +65,3 @@ let selectivity_eq stats attr =
   match List.find_opt (fun c -> c.attr = attr) stats.columns with
   | Some c when c.n_distinct > 0 -> 1. /. float_of_int c.n_distinct
   | _ -> 0.1
-
-let pp fmt s =
-  Format.fprintf fmt "@[<v>table %s: %d rows" s.table s.n_rows;
-  List.iter
-    (fun c ->
-      Format.fprintf fmt "@   %s: %d distinct%s" c.attr c.n_distinct
-        (match c.min_value, c.max_value with
-         | Some lo, Some hi ->
-           Printf.sprintf " [%s .. %s]" (Value.to_display lo)
-             (Value.to_display hi)
-         | _ -> ""))
-    s.columns;
-  Format.fprintf fmt "@]"

@@ -21,5 +21,3 @@ val analyze_table : Table.t -> table_stats
 val selectivity_eq : table_stats -> string -> float
 (** Estimated fraction of rows matching an equality predicate:
     [1 / n_distinct], defaulting to 0.1 for unknown attributes. *)
-
-val pp : Format.formatter -> table_stats -> unit

@@ -1,9 +1,11 @@
 module Value = Gaea_adt.Value
+module IntMap = Map.Make (Int)
 
 type t = {
   name : string;
   desc : Tuple.descriptor;
-  heap : Heap.t;
+  mutable rows : Tuple.t IntMap.t;
+  mutable live : int;
   hash_indexes : (string, Index_hash.t) Hashtbl.t;
   btree_indexes : (string, Index_btree.t) Hashtbl.t;
   mutable used_index : bool;
@@ -12,19 +14,23 @@ type t = {
 let create ~name desc =
   { name;
     desc;
-    heap = Heap.create ();
+    rows = IntMap.empty;
+    live = 0;
     hash_indexes = Hashtbl.create 4;
     btree_indexes = Hashtbl.create 4;
     used_index = false }
 
 let name t = t.name
 let descriptor t = t.desc
-let row_count t = Heap.length t.heap
+let row_count t = t.live
 
 let attr_values t tuple attr =
   match Tuple.attr_index t.desc attr with
   | None -> None
   | Some i -> Some (Tuple.get tuple i)
+
+let scan t f = IntMap.iter f t.rows
+let fold t ~init ~f = IntMap.fold (fun oid tuple acc -> f acc oid tuple) t.rows init
 
 let create_hash_index t attr =
   match Tuple.attr_index t.desc attr with
@@ -34,8 +40,7 @@ let create_hash_index t attr =
       Error (Printf.sprintf "%s: hash index on %s exists" t.name attr)
     else begin
       let idx = Index_hash.create () in
-      Heap.scan t.heap (fun oid tuple ->
-          Index_hash.add idx (Tuple.get tuple i) oid);
+      scan t (fun oid tuple -> Index_hash.add idx (Tuple.get tuple i) oid);
       Hashtbl.add t.hash_indexes attr idx;
       Ok ()
     end
@@ -51,7 +56,7 @@ let create_btree_index t attr =
       | Error _ as e -> e
       | Ok idx ->
         let err = ref None in
-        Heap.scan t.heap (fun oid tuple ->
+        scan t (fun oid tuple ->
             if !err = None then
               match Index_btree.add idx (Tuple.get tuple i) oid with
               | Ok () -> ()
@@ -94,50 +99,49 @@ let unindex_tuple t oid tuple =
       | None -> ())
     t.btree_indexes
 
-let insert_tuple t oid tuple =
-  match Heap.insert t.heap oid tuple with
-  | Error _ as e -> e
-  | Ok () ->
-    index_tuple t oid tuple;
-    Ok ()
+let make_tuple t values =
+  Result.map_error (fun e -> t.name ^ ": " ^ e) (Tuple.make t.desc values)
 
 let insert t oid values =
-  match Tuple.make t.desc values with
-  | Error e -> Error (t.name ^ ": " ^ e)
-  | Ok tuple -> insert_tuple t oid tuple
+  match make_tuple t values with
+  | Error _ as e -> e
+  | Ok tuple ->
+    if IntMap.mem oid t.rows then
+      Error (Printf.sprintf "%s: duplicate oid %d" t.name oid)
+    else begin
+      t.rows <- IntMap.add oid tuple t.rows;
+      t.live <- t.live + 1;
+      index_tuple t oid tuple;
+      Ok ()
+    end
+
+let get t oid = IntMap.find_opt oid t.rows
 
 let replace t oid values =
-  match Tuple.make t.desc values with
-  | Error e -> Error (t.name ^ ": " ^ e)
+  match make_tuple t values with
+  | Error _ as e -> e
   | Ok tuple ->
-    (match Heap.get t.heap oid with
+    (match get t oid with
      | None -> Error (Printf.sprintf "%s: replace of unknown oid %d" t.name oid)
      | Some old ->
-       (match Heap.replace t.heap oid tuple with
-        | Error e -> Error (t.name ^ ": " ^ e)
-        | Ok () ->
-          unindex_tuple t oid old;
-          index_tuple t oid tuple;
-          Ok ()))
+       t.rows <- IntMap.add oid tuple t.rows;
+       unindex_tuple t oid old;
+       index_tuple t oid tuple;
+       Ok ())
 
 let delete t oid =
-  match Heap.get t.heap oid with
+  match get t oid with
   | None -> false
   | Some tuple ->
-    let removed = Heap.delete t.heap oid in
-    if removed then unindex_tuple t oid tuple;
-    removed
-
-let get t oid = Heap.get t.heap oid
+    t.rows <- IntMap.remove oid t.rows;
+    t.live <- t.live - 1;
+    unindex_tuple t oid tuple;
+    true
 
 let get_attr t oid attr =
   match get t oid with
   | None -> None
   | Some tuple -> attr_values t tuple attr
-
-let scan t f = Heap.scan t.heap f
-let fold t ~init ~f = Heap.fold t.heap ~init ~f
-let to_list t = Heap.to_list t.heap
 
 let select t pred =
   List.rev
@@ -150,22 +154,21 @@ let materialize t oids =
     oids
 
 let lookup_eq t attr value =
-  match Hashtbl.find_opt t.hash_indexes attr with
+  match Hashtbl.find_opt t.btree_indexes attr with
   | Some idx ->
     t.used_index <- true;
-    materialize t (Index_hash.find idx value)
+    materialize t (Index_btree.find idx value)
   | None ->
-    (match Hashtbl.find_opt t.btree_indexes attr with
+    (match Hashtbl.find_opt t.hash_indexes attr with
      | Some idx ->
        t.used_index <- true;
-       materialize t (Index_btree.find idx value)
+       materialize t (Index_hash.find idx value)
      | None ->
        t.used_index <- false;
        (match Tuple.attr_index t.desc attr with
         | None -> []
         | Some i ->
           select t (fun _ tuple -> Value.equal (Tuple.get tuple i) value)))
-
 let lookup_range t attr ?lo ?hi () =
   match Hashtbl.find_opt t.btree_indexes attr with
   | Some idx ->

@@ -7,6 +7,13 @@ let orderable = function
   | Vtype.Composite | Vtype.Image | Vtype.Matrix | Vtype.Vector | Vtype.Box
   | Vtype.Interval | Vtype.Setof _ | Vtype.Any -> false
 
+let comparable a b =
+  orderable a
+  && (Vtype.equal a b
+      || match a, b with
+         | (Vtype.Int | Vtype.Float), (Vtype.Int | Vtype.Float) -> true
+         | _ -> false)
+
 let compare a b =
   match a, b with
   | Value.VInt x, Value.VInt y -> Ok (Int.compare x y)

@@ -193,6 +193,35 @@ let test_kernel_objects () =
   check_bool "delete" true (Result.is_ok (Kernel.delete_object k ~cls:"src" oid));
   check_int "deleted" 0 (Kernel.count_objects k "src")
 
+(* Insert an object and return only a weak pointer to its stored
+   tuple, so no local keeps the tuple alive. *)
+let weak_object k tag =
+  let oid = insert_src k tag 0. in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Kernel.object_tuple k ~cls:"src" oid);
+  (oid, w)
+
+let test_kernel_delete_frees_tuple () =
+  let k = simple_kernel () in
+  let oid, w = Sys.opaque_identity (weak_object k 3) in
+  Gc.full_major ();
+  check_bool "live tuple kept" true (Weak.check w 0);
+  check_bool "delete" true (Result.is_ok (Kernel.delete_object k ~cls:"src" oid));
+  Gc.full_major ();
+  check_bool "deleted tuple collected" false (Weak.check w 0);
+  (* the kernel itself is still reachable *)
+  check_int "no objects" 0 (Kernel.count_objects k "src")
+
+let test_kernel_failed_insert_consumes_oid () =
+  let k = simple_kernel () in
+  let first = insert_src k 1 0. in
+  check_bool "type mismatch" true
+    (Result.is_error
+       (Kernel.insert_object k ~cls:"src"
+          [ ("tag", Value.string "x"); ("data", Value.int 2);
+            ("spatialextent", Value.int 3); ("timestamp", Value.int 4) ]));
+  check_int "oid skipped" (first + 2) (insert_src k 2 0.)
+
 let test_kernel_duplicate_definitions () =
   let k = simple_kernel () in
   let dup = ok (Schema.define ~name:"src" ~attributes:[ ("a", Vtype.Int) ] ()) in
@@ -1018,6 +1047,8 @@ let () =
           tc "diamond" test_concept_diamond ] );
       ( "kernel",
         [ tc "objects" test_kernel_objects;
+          tc "delete frees tuple" test_kernel_delete_frees_tuple;
+          tc "failed insert consumes oid" test_kernel_failed_insert_consumes_oid;
           tc "duplicate definitions" test_kernel_duplicate_definitions;
           tc "execute process" test_kernel_execute_process;
           tc "execute validation" test_kernel_execute_validation;

@@ -344,6 +344,104 @@ let test_executor_versions () =
   check_bool "derived_from v1" true
     (p.Process.derived_from = Some ("d250", 1))
 
+(* ------------------------------------------------------------------ *)
+(* Index/scan agreement                                                *)
+(* ------------------------------------------------------------------ *)
+
+let scene_attrs =
+  [ ("band", Gaea_adt.Vtype.Int); ("hits", Gaea_adt.Vtype.Int);
+    ("score", Gaea_adt.Vtype.Float); ("label", Gaea_adt.Vtype.String);
+    ("spatialextent", Gaea_adt.Vtype.Box);
+    ("timestamp", Gaea_adt.Vtype.Abstime) ]
+
+(* DEFINE gives the temporal attribute a btree; [band], [score] and
+   [label] get one too, [score] a hash index beside it, and [hits] and
+   [spatialextent] a hash index only, so both index kinds, alone and
+   together, meet every literal type. *)
+let indexed_scene () =
+  let session = Session.create () in
+  ignore
+    (ok
+       (Session.run_string session
+          ("DEFINE CLASS scene ("
+           ^ String.concat ", "
+               (List.map
+                  (fun (a, ty) -> a ^ " " ^ Gaea_adt.Vtype.to_string ty)
+                  scene_attrs)
+           ^ ")")));
+  let tab = Option.get (Kernel.class_table (Session.kernel session) "scene") in
+  List.iter (fun a -> Result.get_ok (Table.create_btree_index tab a))
+    [ "band"; "score"; "label" ];
+  List.iter (fun a -> Result.get_ok (Table.create_hash_index tab a))
+    [ "hits"; "score"; "spatialextent" ];
+  session
+
+(* The same class defined through the kernel, so no table index exists. *)
+let unindexed_scene () =
+  let k = Kernel.create () in
+  ok (Kernel.define_class k
+        (ok (Gaea_core.Schema.define ~name:"scene" ~attributes:scene_attrs ())));
+  Session.create ~kernel:k ()
+
+let scene_insert (band, hits, score, label, box, day) =
+  Printf.sprintf
+    "INSERT INTO scene (band = %d, hits = %d, score = %s, label = '%s', \
+     spatialextent = make_box(%d.0, 0.0, %d.0, 1.0), \
+     timestamp = make_abstime(1986, 1, %d))"
+    band hits (Printf.sprintf "%.1f" score) label box (box + 1) day
+
+let scene_literals =
+  [ "0"; "2"; "4"; "1.0"; "1.5"; "2.0"; "'a'"; "'b'"; "DATE '1986-01-02'";
+    "DATE '1986-01-04'"; "BOX(0, 0, 1, 1)"; "BOX(1, 0, 2, 1)" ]
+
+let scene_ops = [ "="; "<"; "<="; ">"; ">="; "AT" ]
+
+(* Rendered rows, sorted: without ORDER BY an index range delivers in
+   key order and a scan in OID order, so only the row set must agree. *)
+let select_outcome session text =
+  match Session.run_string session text with
+  | Ok responses ->
+    List.map Executor.format_response responses
+    |> String.concat "\n" |> String.split_on_char '\n' |> List.sort compare
+    |> String.concat "\n"
+  | Error e -> "error: " ^ Gaea_core.Gaea_error.to_string e
+  | exception exn -> "raised " ^ Printexc.to_string exn
+
+let index_scan_agreement_prop =
+  let row =
+    QCheck.Gen.(
+      map
+        (fun (band, hits, score, label, box, day) ->
+          (band, hits, float_of_int score /. 2., label, box, day))
+        (tup6 (int_range 0 4) (int_range 0 4) (int_range 0 5)
+           (oneofl [ "a"; "b"; "c" ]) (int_range 0 1) (int_range 1 5)))
+  in
+  QCheck.Test.make ~name:"indexed select = unindexed select, never raises"
+    ~count:25
+    QCheck.(make Gen.(list_size (int_range 0 8) row))
+    (fun rows ->
+      let indexed = indexed_scene () and plain = unindexed_scene () in
+      List.iter
+        (fun r ->
+          ignore (ok (Session.run_string indexed (scene_insert r)));
+          ignore (ok (Session.run_string plain (scene_insert r))))
+        rows;
+      List.for_all
+        (fun (attr, _) ->
+          List.for_all
+            (fun op ->
+              List.for_all
+                (fun lit ->
+                  let q = Printf.sprintf "SELECT * FROM scene WHERE %s %s %s" attr op lit in
+                  let got = select_outcome indexed q in
+                  let want = select_outcome plain q in
+                  got = want
+                  || QCheck.Test.fail_reportf "%s\nindexed:\n%s\nunindexed:\n%s" q
+                       got want)
+                scene_literals)
+            scene_ops)
+        scene_attrs)
+
 let () =
   Alcotest.run "query"
     [ ( "lexer",
@@ -359,6 +457,8 @@ let () =
       ( "optimizer",
         [ tc "access paths" test_optimizer_access_paths;
           tc "materialize" test_optimizer_materialize ] );
+      ( "optimizer-props",
+        [ QCheck_alcotest.to_alcotest index_scan_agreement_prop ] );
       ( "executor",
         [ tc "select filters" test_executor_select_filters;
           tc "derive and verify" test_executor_derive_and_verify;

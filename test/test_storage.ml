@@ -1,13 +1,11 @@
 (* Tests for the storage substrate (the Postgres stand-in): OIDs,
-   tuples, heap, indexes, tables, store, statistics. *)
+   tuples, indexes, tables, statistics. *)
 
 module Oid = Gaea_storage.Oid
 module Tuple = Gaea_storage.Tuple
-module Heap = Gaea_storage.Heap
 module Index_hash = Gaea_storage.Index_hash
 module Index_btree = Gaea_storage.Index_btree
 module Table = Gaea_storage.Table
-module Store = Gaea_storage.Store
 module Stats = Gaea_storage.Stats
 module Vorder = Gaea_storage.Vorder
 module Value = Gaea_adt.Value
@@ -54,7 +52,22 @@ let test_vorder () =
   check_bool "cross-type error" true
     (Result.is_error (Vorder.compare (Value.int 1) (Value.string "1")));
   check_bool "orderable predicate" true
-    (Vorder.orderable Vtype.Abstime && not (Vorder.orderable Vtype.Image))
+    (Vorder.orderable Vtype.Abstime && not (Vorder.orderable Vtype.Image));
+  (* comparable on types agrees with compare on values *)
+  let samples =
+    [ Value.int 1; Value.float 1.5; Value.string "a"; Value.bool true;
+      Value.abstime (Gaea_geo.Abstime.of_ymd 1986 1 1);
+      Value.box (Gaea_geo.Box.point 0. 0.) ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          check_bool "comparable = compare is Ok"
+            (Result.is_ok (Vorder.compare a b))
+            (Vorder.comparable (Value.type_of a) (Value.type_of b)))
+        samples)
+    samples
 
 (* ------------------------------------------------------------------ *)
 (* Tuple                                                               *)
@@ -94,37 +107,6 @@ let test_tuple_make () =
      check_bool "widened" true
        (Tuple.get_by_name t d "score" = Ok (Value.float 2.))
    | Error e -> Alcotest.failf "widening: %s" e)
-
-(* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let mk_tuple d i =
-  Result.get_ok
-    (Tuple.make d
-       [ Value.string (Printf.sprintf "row%d" i); Value.int i;
-         Value.float (float_of_int i) ])
-
-let test_heap () =
-  let d = desc () in
-  let h = Heap.create () in
-  check_int "empty" 0 (Heap.length h);
-  List.iter
-    (fun i -> Result.get_ok (Heap.insert h i (mk_tuple d i)))
-    [ 1; 2; 3; 4; 5 ];
-  check_int "five" 5 (Heap.length h);
-  check_bool "dup oid" true (Result.is_error (Heap.insert h 3 (mk_tuple d 3)));
-  check_bool "get" true (Heap.get h 2 <> None);
-  check_bool "delete" true (Heap.delete h 2);
-  check_bool "delete again" false (Heap.delete h 2);
-  check_bool "gone" true (Heap.get h 2 = None);
-  check_int "four live" 4 (Heap.length h);
-  check_int "five allocated" 5 (Heap.allocated h);
-  (* scan preserves insertion order and skips tombstones *)
-  let seen = ref [] in
-  Heap.scan h (fun oid _ -> seen := oid :: !seen);
-  Alcotest.(check (list int)) "scan order" [ 1; 3; 4; 5 ] (List.rev !seen);
-  check_bool "find" true (Heap.find h (fun oid _ -> oid = 4) <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Indexes                                                             *)
@@ -184,6 +166,54 @@ let make_table () =
          Value.float (float_of_int i) ]))
     [ 1; 2; 3; 4; 5; 6 ];
   t
+
+let mk_values i =
+  [ Value.string (Printf.sprintf "row%d" i); Value.int i;
+    Value.float (float_of_int i) ]
+
+let test_table_operations () =
+  let t = Table.create ~name:"rows" (desc ()) in
+  check_int "empty" 0 (Table.row_count t);
+  (* inserted out of OID order: scans still run in ascending OID order *)
+  List.iter
+    (fun i -> Result.get_ok (Table.insert t i (mk_values i)))
+    [ 4; 1; 5; 2; 3 ];
+  check_int "five" 5 (Table.row_count t);
+  check_bool "dup oid" true (Result.is_error (Table.insert t 3 (mk_values 3)));
+  check_int "dup rejected" 5 (Table.row_count t);
+  check_bool "get" true (Table.get t 2 <> None);
+  check_bool "delete" true (Table.delete t 2);
+  check_bool "delete again" false (Table.delete t 2);
+  check_bool "gone" true (Table.get t 2 = None);
+  check_bool "replace gone" true
+    (Result.is_error (Table.replace t 2 (mk_values 2)));
+  check_int "four live" 4 (Table.row_count t);
+  let seen = ref [] in
+  Table.scan t (fun oid _ -> seen := oid :: !seen);
+  Alcotest.(check (list int)) "scan order" [ 1; 3; 4; 5 ] (List.rev !seen);
+  check_bool "select" true
+    (List.map fst (Table.select t (fun oid _ -> oid = 4)) = [ 4 ])
+
+(* Insert a row and return only a weak pointer to its stored tuple, so
+   no local keeps the tuple alive. *)
+let weak_row t oid =
+  Result.get_ok (Table.insert t oid (mk_values oid));
+  let w = Weak.create 1 in
+  Weak.set w 0 (Table.get t oid);
+  w
+
+let test_table_delete_frees_row () =
+  let t = Table.create ~name:"rows" (desc ()) in
+  Result.get_ok (Table.create_hash_index t "name");
+  Result.get_ok (Table.create_btree_index t "size");
+  let w = Sys.opaque_identity (weak_row t 7) in
+  Gc.full_major ();
+  check_bool "live row kept" true (Weak.check w 0);
+  check_bool "delete" true (Table.delete t 7);
+  Gc.full_major ();
+  check_bool "deleted row collected" false (Weak.check w 0);
+  (* the table itself is still reachable *)
+  check_int "no rows" 0 (Table.row_count t)
 
 let test_table_basic () =
   let t = make_table () in
@@ -248,24 +278,6 @@ let table_lookup_prop =
         [ 0; 1; 5; 10 ])
 
 (* ------------------------------------------------------------------ *)
-(* Store                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_store () =
-  let s = Store.create () in
-  let _ = Result.get_ok (Store.create_table s ~name:"t1" [ ("x", Vtype.Int) ]) in
-  check_bool "dup table" true
-    (Result.is_error (Store.create_table s ~name:"t1" [ ("x", Vtype.Int) ]));
-  let oid = Result.get_ok (Store.insert_values s ~table:"t1" [ Value.int 42 ]) in
-  check_bool "get" true (Store.get s ~table:"t1" oid <> None);
-  check_bool "bad table insert" true
-    (Result.is_error (Store.insert_values s ~table:"zzz" [ Value.int 1 ]));
-  Alcotest.(check (list string)) "names" [ "t1" ] (Store.table_names s);
-  check_int "rows" 1 (Store.total_rows s);
-  check_bool "drop" true (Store.drop_table s "t1");
-  check_bool "drop again" false (Store.drop_table s "t1")
-
-(* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -290,15 +302,14 @@ let () =
       ("vorder", [ tc "ordering" test_vorder ]);
       ( "tuple",
         [ tc "descriptor" test_tuple_descriptor; tc "make" test_tuple_make ] );
-      ("heap", [ tc "operations" test_heap ]);
       ( "indexes",
         [ tc "hash" test_index_hash; tc "btree" test_index_btree ] );
       ( "table",
-        [ tc "basics" test_table_basic;
+        [ tc "operations" test_table_operations;
+          tc "delete frees row" test_table_delete_frees_row;
+          tc "basics" test_table_basic;
           tc "index agreement" test_table_index_agreement;
           tc "range" test_table_range;
           tc "index maintenance" test_table_index_maintained ] );
       qsuite "table-props" [ table_lookup_prop ];
-      ( "store-snapshot",
-        [ tc "store" test_store ] );
       ("stats", [ tc "analyze" test_stats ]) ]
