@@ -1,5 +1,7 @@
-(** Minimal S-expressions — the textual substrate for value
-    serialization and store snapshots (no external dependency). *)
+(** Minimal S-expressions — the textual substrate of the save file:
+    [Value.to_sexp] / [Value.of_sexp] encode values with it and
+    [Persist] writes and reads every section through it (no external
+    dependency). *)
 
 type t =
   | Atom of string

@@ -509,6 +509,278 @@ let test_kmeans_assign () =
   check_int "near 10" 1 (Kmeans.assign centroids [| 8. |]);
   check_int "tie goes low" 0 (Kmeans.assign centroids [| 5. |])
 
+(* The study workload's shapes at its own size (128², P20's k = 12 over
+   three bands and the change image's k = 5 over one), pinned to the
+   label hash, iteration count and inertia bits plain Lloyd gave. *)
+let test_kmeans_study_golden () =
+  let scene = Synthetic.landsat_scene ~seed:1 ~nrow:128 ~ncol:128 ~bands:3 () in
+  let pin name c k ~hash ~iterations ~inertia =
+    let r = Kmeans.unsuperclassify c k in
+    check_int (name ^ " label hash") hash (Image.content_hash r.Kmeans.labels);
+    check_int (name ^ " iterations") iterations r.Kmeans.iterations;
+    Alcotest.(check int64) (name ^ " inertia bits") inertia
+      (Int64.bits_of_float r.Kmeans.inertia)
+  in
+  pin "k=12, 3 bands" scene.Synthetic.composite 12 ~hash:2751130003890160826
+    ~iterations:94 ~inertia:4694168804530131114L;
+  pin "k=5, 1 band"
+    (Composite.of_bands [ Composite.band scene.Synthetic.composite 0 ])
+    5 ~hash:3850149050456917178 ~iterations:6 ~inertia:4688255760953517068L
+
+(* Plain Lloyd over per-pixel vectors, every distance scanned: the
+   reference the pruned [Kmeans.unsuperclassify] must match bit for bit. *)
+module Lloyd = struct
+  module Pool = Gaea_par.Pool
+
+  let sq_dist a b =
+    let acc = ref 0. in
+    for i = 0 to Array.length a - 1 do
+      let d = a.(i) -. b.(i) in
+      acc := !acc +. (d *. d)
+    done;
+    !acc
+
+  let assign centroids v =
+    let k = Array.length centroids in
+    let best = ref 0 and best_d = ref (sq_dist centroids.(0) v) in
+    for j = 1 to k - 1 do
+      let d = sq_dist centroids.(j) v in
+      if d < !best_d then begin
+        best := j;
+        best_d := d
+      end
+    done;
+    !best
+
+  let seed_centroids rng points k =
+    let n = Array.length points in
+    let centroids = Array.make k points.(0) in
+    centroids.(0) <- points.(Rng.int rng n);
+    let dists = Array.map (fun p -> sq_dist p centroids.(0)) points in
+    for j = 1 to k - 1 do
+      let total = Array.fold_left ( +. ) 0. dists in
+      let chosen =
+        if total <= 0. then Rng.int rng n
+        else begin
+          let target = Rng.float rng total in
+          let acc = ref 0. and idx = ref (n - 1) in
+          (try
+             Array.iteri
+               (fun i d ->
+                 acc := !acc +. d;
+                 if !acc >= target then begin
+                   idx := i;
+                   raise Exit
+                 end)
+               dists
+           with Exit -> ());
+          !idx
+        end
+      in
+      centroids.(j) <- points.(chosen);
+      Array.iteri
+        (fun i p -> dists.(i) <- Float.min dists.(i) (sq_dist p centroids.(j)))
+        points
+    done;
+    Array.map Array.copy centroids
+
+  let run ?(seed = 42) ?(max_iter = 100) composite k =
+    let n = Composite.n_pixels composite in
+    let dims = Composite.n_bands composite in
+    let points = Array.init n (Composite.pixel_vector composite) in
+    let rng = Rng.create seed in
+    let centroids = ref (seed_centroids rng points k) in
+    let labels = Array.make n 0 in
+    let iterations = ref 0 in
+    let changed = ref true in
+    while !changed && !iterations < max_iter do
+      incr iterations;
+      let cs = !centroids in
+      changed := false;
+      for i = 0 to n - 1 do
+        let j = assign cs points.(i) in
+        if j <> labels.(i) then begin
+          labels.(i) <- j;
+          changed := true
+        end
+      done;
+      if !changed then begin
+        (* per-chunk partial sums, combined in chunk order *)
+        let partials =
+          Pool.map_chunks ~lo:0 ~hi:n (fun clo chi ->
+              let sums = Array.init k (fun _ -> Array.make dims 0.) in
+              let counts = Array.make k 0 in
+              for i = clo to chi - 1 do
+                let j = labels.(i) in
+                counts.(j) <- counts.(j) + 1;
+                let p = points.(i) and s = sums.(j) in
+                for d = 0 to dims - 1 do
+                  s.(d) <- s.(d) +. p.(d)
+                done
+              done;
+              (sums, counts))
+        in
+        let sums = Array.init k (fun _ -> Array.make dims 0.) in
+        let counts = Array.make k 0 in
+        Array.iter
+          (fun (ps, pc) ->
+            for j = 0 to k - 1 do
+              counts.(j) <- counts.(j) + pc.(j);
+              for d = 0 to dims - 1 do
+                sums.(j).(d) <- sums.(j).(d) +. ps.(j).(d)
+              done
+            done)
+          partials;
+        centroids :=
+          Array.mapi
+            (fun j s ->
+              if counts.(j) = 0 then !centroids.(j)
+              else Array.map (fun x -> x /. float_of_int counts.(j)) s)
+            sums
+      end
+    done;
+    let order = Array.init k (fun j -> j) in
+    Array.sort (fun a b -> compare !centroids.(a) !centroids.(b)) order;
+    let rank = Array.make k 0 in
+    Array.iteri (fun r j -> rank.(j) <- r) order;
+    let cs = !centroids in
+    let inertia =
+      Pool.parallel_for_reduce ~lo:0 ~hi:n ~init:0. ~reduce:( +. )
+        (fun clo chi ->
+          let acc = ref 0. in
+          for i = clo to chi - 1 do
+            acc := !acc +. sq_dist points.(i) cs.(labels.(i))
+          done;
+          !acc)
+    in
+    let nrow = Composite.nrow composite and ncol = Composite.ncol composite in
+    { Kmeans.labels =
+        Image.init ~nrow ~ncol Pixel.Int4 (fun r c ->
+            float_of_int rank.(labels.((r * ncol) + c)));
+      centroids = Array.map (fun j -> cs.(j)) order;
+      iterations = !iterations;
+      inertia }
+end
+
+(* Random composites that stress the pruning: values from a small
+   palette (duplicates, constant images, pixels exactly halfway between
+   two centroids), clustered and uniform values, data far from the
+   origin or at extreme scales, and NaN holes in Float8 bands. *)
+type kmeans_case = {
+  nrow : int;
+  ncol : int;
+  ptype : Pixel.t;
+  bands : float array list;
+  k : int;
+  kseed : int;
+  max_iter : int;
+}
+
+let kmeans_case_gen ~rows ~cols ~max_k =
+  let open QCheck.Gen in
+  let* nrow = rows and* ncol = cols in
+  let n = nrow * ncol in
+  let* dims = int_range 1 4 and* ptype = oneofl [ Pixel.Char; Pixel.Float8 ] in
+  let* style = int_range 0 4 and* scale = oneofl [ 1.; 1e-3; 1e6; 1e-115; 1e115; 1e-200; 1e200 ] in
+  let* offset = oneofl [ 0.; 0.; 1e9 ] and* holes = frequency [ (3, return 0); (1, int_range 1 4) ] in
+  let palette = [| 0.; 1.; 2.; 3.; 4.; 8.; 250. |] in
+  let* centers = array_size (int_range 1 5) (float_range 0. 255.) in
+  let value =
+    match style with
+    | 0 -> map (fun i -> palette.(i)) (int_bound (Array.length palette - 1))
+    | 1 -> return palette.(3)
+    | 2 -> float_range 0. 255.
+    | _ ->
+      let* c = oneofa centers and* e = float_range (-2.) 2. in
+      return (c +. e)
+  in
+  let scaled v =
+    if ptype = Pixel.Char || style = 0 then v else offset +. (v *. scale)
+  in
+  let band =
+    let* vs = array_repeat n (map scaled value) in
+    let* spots = list_repeat holes (int_bound (n - 1)) in
+    if ptype = Pixel.Float8 then List.iter (fun i -> vs.(i) <- Float.nan) spots;
+    return vs
+  in
+  let* bands = list_repeat dims band in
+  let* k = int_range 1 (min n max_k) in
+  let* kseed = int_bound 1000 and* max_iter = frequency [ (4, return 100); (1, int_range 0 4) ] in
+  return { nrow; ncol; ptype; bands; k; kseed; max_iter }
+
+let print_kmeans_case c =
+  Printf.sprintf "%dx%d %s, %d bands, k=%d, seed %d, max_iter %d: %s" c.nrow
+    c.ncol (Pixel.to_string c.ptype) (List.length c.bands) c.k c.kseed
+    c.max_iter
+    (String.concat " | "
+       (List.map
+          (fun b -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") b)))
+          c.bands))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let kmeans_matches_lloyd c =
+  let composite =
+    Composite.of_bands
+      (List.map (Image.of_array ~nrow:c.nrow ~ncol:c.ncol c.ptype) c.bands)
+  in
+  let r = Kmeans.unsuperclassify ~seed:c.kseed ~max_iter:c.max_iter composite c.k in
+  let o = Lloyd.run ~seed:c.kseed ~max_iter:c.max_iter composite c.k in
+  Image.equal r.Kmeans.labels o.Kmeans.labels
+  && r.Kmeans.iterations = o.Kmeans.iterations
+  && same_bits r.Kmeans.inertia o.Kmeans.inertia
+  && Array.length r.Kmeans.centroids = Array.length o.Kmeans.centroids
+  && Array.for_all2 (Array.for_all2 same_bits) r.Kmeans.centroids
+       o.Kmeans.centroids
+
+let with_pool size f =
+  let module Pool = Gaea_par.Pool in
+  let saved = Pool.size () in
+  Pool.set_size size;
+  Pool.set_min_parallel_work (if size > 1 then Some 0 else None);
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_size saved;
+      Pool.set_min_parallel_work None)
+    f
+
+(* Small integer inputs where, after an update, a pixel sits exactly as
+   far from a lower-numbered centroid as from its own, with exact
+   bounds: plain Lloyd moves it to the lower index, so a bound test that
+   let a tie through (<= instead of <) keeps a wrong label.  Random
+   inputs hit this about once in 10^5 cases. *)
+let test_kmeans_exact_ties () =
+  List.iter
+    (fun (k, kseed, bands) ->
+      let n = List.length (List.hd bands) in
+      let c =
+        { nrow = 1; ncol = n; ptype = Pixel.Float8;
+          bands = List.map (fun b -> Array.of_list (List.map float_of_int b)) bands;
+          k; kseed; max_iter = 100 }
+      in
+      check_bool (print_kmeans_case c) true (kmeans_matches_lloyd c))
+    [ (2, 297, [ [ 2; 2; 0; 2; 1; 1 ]; [ 1; 0; 2; 2; 1; 0 ] ]);
+      (2, 727, [ [ 2; 1; 1; 0; 0; 2 ]; [ 1; 2; 1; 1; 1; 2 ] ]);
+      (2, 271, [ [ 0; 1; 0; 0; 0; 2; 2; 1 ]; [ 0; 2; 0; 2; 1; 1; 2; 0 ] ]) ]
+
+let kmeans_oracle_prop =
+  QCheck.Test.make ~name:"pruned kmeans = plain Lloyd, bit for bit (pool 1)"
+    ~count:300
+    (QCheck.make ~print:print_kmeans_case
+       (kmeans_case_gen ~rows:(QCheck.Gen.int_range 1 12)
+          ~cols:(QCheck.Gen.int_range 1 12) ~max_k:max_int))
+    (fun c -> with_pool 1 (fun () -> kmeans_matches_lloyd c))
+
+(* More pixels than one chunk (4096), so the assignment, update and
+   inertia passes really split into chunks across two lanes. *)
+let kmeans_oracle_chunked_prop =
+  QCheck.Test.make ~name:"pruned kmeans = plain Lloyd, bit for bit (pool 2, chunked)"
+    ~count:20
+    (QCheck.make ~print:(fun c -> Printf.sprintf "%dx%d, k=%d, seed %d" c.nrow c.ncol c.k c.kseed)
+       (kmeans_case_gen ~rows:(QCheck.Gen.int_range 64 72)
+          ~cols:(QCheck.Gen.int_range 65 72) ~max_k:12))
+    (fun c -> with_pool 2 (fun () -> kmeans_matches_lloyd c))
+
 (* ------------------------------------------------------------------ *)
 (* Maxlike                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -749,7 +1021,10 @@ let () =
           tc "validation" test_kmeans_validation;
           tc "k=1" test_kmeans_k1;
           tc "degenerate result" test_kmeans_result_degenerate;
-          tc "assign" test_kmeans_assign ] );
+          tc "assign" test_kmeans_assign;
+          tc "study-shape golden pin" test_kmeans_study_golden;
+          tc "exact ties after a move" test_kmeans_exact_ties ] );
+      qsuite "kmeans-props" [ kmeans_oracle_prop; kmeans_oracle_chunked_prop ];
       ( "maxlike",
         [ tc "recovers truth" test_maxlike_recovers_truth;
           tc "log-likelihood" test_maxlike_loglik_prefers_own_mean;
