@@ -286,12 +286,21 @@ let e3_p20_scaling () =
     "Mpixel/s" "reproducible";
   List.iter
     (fun n ->
-      let k = Kernel.create () in
-      ok (Figures.install_fig3 k);
-      let _ = ok (Figures.load_tm_bands k ~seed:7 ~nrow:n ~ncol:n ()) in
-      let outcome, dt =
-        time_once (fun () -> ok (Derivation.request k Figures.land_cover_class))
+      (* a DERIVE runs once per kernel, so every run gets a fresh kernel
+         set up outside the clock: one warmup, then the median of 5 *)
+      let run () =
+        let k = Kernel.create () in
+        ok (Figures.install_fig3 k);
+        let _ = ok (Figures.load_tm_bands k ~seed:7 ~nrow:n ~ncol:n ()) in
+        let outcome, dt =
+          time_once (fun () -> ok (Derivation.request k Figures.land_cover_class))
+        in
+        (k, outcome, dt)
       in
+      ignore (run ());
+      let runs = Array.init 5 (fun _ -> run ()) in
+      Array.sort (fun (_, _, a) (_, _, b) -> Float.compare a b) runs;
+      let k, outcome, dt = runs.(2) in
       let oid = List.hd outcome.Derivation.objects in
       let reproducible = ok (Lineage.verify_object k oid) in
       let mpix = float_of_int (n * n * 3) /. dt /. 1e6 in

@@ -1,4 +1,5 @@
-(** Minimal S-expressions — the textual substrate of the save file:
+(** Minimal S-expressions — the textual substrate of the save file's
+    metadata section:
     [Value.to_sexp] / [Value.of_sexp] encode values with it and
     [Persist] writes and reads every section through it (no external
     dependency). *)

@@ -177,21 +177,95 @@ let rec to_display = function
 let pp fmt v = Format.pp_print_string fmt (to_display v)
 
 (* Serialization via S-expressions; floats as hex literals to round-trip
-   exactly. *)
+   exactly.  Image pixels are not atoms: each image stands for a raw
+   pixel block the caller stores beside the s-expressions. *)
 let fatom f = Sexp.atom (Printf.sprintf "%h" f)
 let iatom i = Sexp.atom (string_of_int i)
 
-let rec to_sexp = function
+type block = { src : string; off : int; len : int }
+
+let pixel_bytes img = Image.size img * Pixel.size_bytes (Image.img_type img)
+
+(* Integral pixels are whole numbers in range and never -0 (see
+   [Pixel.quantize]), so the fixed-width integers hold them exactly;
+   float4 pixels are float32 values, so their float32 bits do. *)
+let write_pixels img buf off =
+  let d = Image.unsafe_data img in
+  let last = Array.length d - 1 in
+  match Image.img_type img with
+  | Pixel.Char ->
+    for i = 0 to last do
+      Bytes.set_uint8 buf (off + i) (int_of_float (Array.unsafe_get d i))
+    done
+  | Pixel.Int2 ->
+    for i = 0 to last do
+      Bytes.set_int16_le buf (off + (2 * i))
+        (int_of_float (Array.unsafe_get d i))
+    done
+  | Pixel.Int4 ->
+    for i = 0 to last do
+      Bytes.set_int32_le buf (off + (4 * i))
+        (Int32.of_float (Array.unsafe_get d i))
+    done
+  | Pixel.Float4 ->
+    for i = 0 to last do
+      Bytes.set_int32_le buf (off + (4 * i))
+        (Int32.bits_of_float (Array.unsafe_get d i))
+    done
+  | Pixel.Float8 ->
+    for i = 0 to last do
+      Bytes.set_int64_le buf (off + (8 * i))
+        (Int64.bits_of_float (Array.unsafe_get d i))
+    done
+
+(* Every byte pattern decodes to a value the pixel type can hold, so
+   the array is wrapped without re-quantizing. *)
+let read_pixels ~label ~nrow ~ncol ptype { src; off; len } =
+  let w = Pixel.size_bytes ptype in
+  let n = len / w in
+  if nrow <= 0 || ncol <= 0 || len mod w <> 0 || n mod nrow <> 0
+     || n / nrow <> ncol
+  then Error "image pixel block length mismatch"
+  else begin
+    let d = Array.create_float n in
+    (match ptype with
+     | Pixel.Char ->
+       for i = 0 to n - 1 do
+         Array.unsafe_set d i (float_of_int (String.get_uint8 src (off + i)))
+       done
+     | Pixel.Int2 ->
+       for i = 0 to n - 1 do
+         Array.unsafe_set d i
+           (float_of_int (String.get_int16_le src (off + (2 * i))))
+       done
+     | Pixel.Int4 ->
+       for i = 0 to n - 1 do
+         Array.unsafe_set d i
+           (Int32.to_float (String.get_int32_le src (off + (4 * i))))
+       done
+     | Pixel.Float4 ->
+       for i = 0 to n - 1 do
+         Array.unsafe_set d i
+           (Int32.float_of_bits (String.get_int32_le src (off + (4 * i))))
+       done
+     | Pixel.Float8 ->
+       for i = 0 to n - 1 do
+         Array.unsafe_set d i
+           (Int64.float_of_bits (String.get_int64_le src (off + (8 * i))))
+       done);
+    Ok (Image.unsafe_of_array ~label ~nrow ~ncol ptype d)
+  end
+
+let rec to_sexp ~block = function
   | VInt x -> Sexp.list [ Sexp.atom "int"; iatom x ]
   | VFloat x -> Sexp.list [ Sexp.atom "float"; fatom x ]
   | VString s -> Sexp.list [ Sexp.atom "string"; Sexp.atom s ]
   | VBool b -> Sexp.list [ Sexp.atom "bool"; Sexp.atom (string_of_bool b) ]
-  | VImage i -> Sexp.list (Sexp.atom "image" :: image_fields i)
+  | VImage i -> image_to_sexp ~block i
   | VComposite c ->
     Sexp.list
       (Sexp.atom "composite"
-       :: List.map (fun b -> Sexp.list (Sexp.atom "image" :: image_fields b))
-            (Composite.bands c))
+       :: List.map (image_to_sexp ~block) (Composite.bands c))
   | VMatrix m ->
     let cells = ref [] in
     for i = Matrix.rows m - 1 downto 0 do
@@ -214,13 +288,16 @@ let rec to_sexp = function
       [ Sexp.atom "interval";
         iatom (Abstime.to_seconds (Interval.start i));
         iatom (Abstime.to_seconds (Interval.stop i)) ]
-  | VSet items -> Sexp.list (Sexp.atom "set" :: List.map to_sexp items)
+  | VSet items -> Sexp.list (Sexp.atom "set" :: List.map (to_sexp ~block) items)
 
-and image_fields i =
-  iatom (Image.img_nrow i) :: iatom (Image.img_ncol i)
-  :: Sexp.atom (Pixel.to_string (Image.img_type i))
-  :: Sexp.atom (Image.img_label i)
-  :: List.map fatom (Image.to_list i)
+and image_to_sexp ~block i =
+  Sexp.list
+    [ Sexp.atom "image";
+      iatom (Image.img_nrow i);
+      iatom (Image.img_ncol i);
+      Sexp.atom (Pixel.to_string (Image.img_type i));
+      Sexp.atom (Image.img_label i);
+      Sexp.list [ Sexp.atom "block"; iatom (block i) ] ]
 
 let ( let* ) r f = Result.bind r f
 
@@ -247,13 +324,13 @@ let map_result f items =
 
 let parse_floats cells = Result.map Array.of_list (map_result float_atom cells)
 
-let rec of_sexp sexp =
+let rec of_sexp ~block sexp =
   match sexp with
   | Sexp.Atom a -> Error ("bare atom: " ^ a)
-  | Sexp.List (Sexp.Atom tag :: rest) -> parse_tagged tag rest
+  | Sexp.List (Sexp.Atom tag :: rest) -> parse_tagged ~block tag rest
   | Sexp.List _ -> Error "list without a tag"
 
-and parse_image_fields fields =
+and parse_image_fields ~block fields =
   match fields with
   | nrow :: ncol :: ptype :: label :: pixels ->
     let* nrow = int_atom nrow in
@@ -265,14 +342,22 @@ and parse_image_fields fields =
       | Some p -> Ok p
       | None -> Error ("bad pixel type: " ^ pt_str)
     in
-    let* arr = parse_floats pixels in
-    if Array.length arr <> nrow * ncol then Error "image pixel count mismatch"
-    else
-      (try Ok (Image.of_array ~label ~nrow ~ncol ptype arr)
-       with Invalid_argument m -> Error m)
+    (match pixels with
+     | [ Sexp.List [ Sexp.Atom "block"; i ] ] ->
+       let* i = int_atom i in
+       (match block i with
+        | Some b -> read_pixels ~label ~nrow ~ncol ptype b
+        | None -> Error (Printf.sprintf "no pixel block %d" i))
+     | _ ->
+       (* the text format before pixel blocks listed every pixel *)
+       let* arr = parse_floats pixels in
+       if Array.length arr <> nrow * ncol then Error "image pixel count mismatch"
+       else
+         (try Ok (Image.of_array ~label ~nrow ~ncol ptype arr)
+          with Invalid_argument m -> Error m))
   | _ -> Error "malformed image"
 
-and parse_tagged tag rest =
+and parse_tagged ~block tag rest =
   match tag, rest with
   | "int", [ a ] -> Result.map int (int_atom a)
   | "float", [ a ] -> Result.map float (float_atom a)
@@ -282,12 +367,13 @@ and parse_tagged tag rest =
     (match bool_of_string_opt s with
      | Some b -> Ok (bool b)
      | None -> Error ("bad bool: " ^ s))
-  | "image", fields -> Result.map image (parse_image_fields fields)
+  | "image", fields -> Result.map image (parse_image_fields ~block fields)
   | "composite", bands ->
     let* imgs =
       map_result
         (function
-          | Sexp.List (Sexp.Atom "image" :: fields) -> parse_image_fields fields
+          | Sexp.List (Sexp.Atom "image" :: fields) ->
+            parse_image_fields ~block fields
           | _ -> Error "composite: expected image")
         bands
     in
@@ -320,5 +406,5 @@ and parse_tagged tag rest =
     (try
        Ok (interval (Interval.make (Abstime.of_seconds s) (Abstime.of_seconds e)))
      with Invalid_argument m -> Error m)
-  | "set", items -> Result.map set (map_result of_sexp items)
+  | "set", items -> Result.map set (map_result (of_sexp ~block) items)
   | tag, _ -> Error ("unknown or malformed tag: " ^ tag)

@@ -64,14 +64,34 @@ val to_display : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val to_sexp : t -> Sexp.t
-(** The value codec of the save file: a tagged list such as
-    [(int 3)], [(box xmin ymin xmax ymax)] or
-    [(image nrow ncol ptype label px...)].  Images, composites and
-    matrices are encoded in full; every float is a [%h] hex literal,
-    so the encoding round-trips bit for bit (NaN payloads aside). *)
+(** {2 Save-file codec} *)
 
-val of_sexp : Sexp.t -> (t, string) result
-(** Inverse of {!to_sexp}.  Malformed input, including a pixel or
-    cell count that disagrees with the stated dimensions, is an
-    [Error], never an exception. *)
+type block = { src : string; off : int; len : int }
+(** A raw pixel block: [len] bytes of [src] starting at [off]. *)
+
+val pixel_bytes : Gaea_raster.Image.t -> int
+(** Length of the image's raw block: pixels × storage width. *)
+
+val write_pixels : Gaea_raster.Image.t -> Bytes.t -> int -> unit
+(** [write_pixels img buf off] writes the image's raw block,
+    {!pixel_bytes} long, at [off]: pixels in row-major order, each
+    little-endian at its storage width — char 1 B unsigned, int2 2 B
+    and int4 4 B two's complement, float4 the float32 bits, float8 the
+    float64 bits.  Every pixel round-trips bit for bit. *)
+
+val to_sexp : block:(Gaea_raster.Image.t -> int) -> t -> Sexp.t
+(** The value codec of the save file: a tagged list such as
+    [(int 3)] or [(box xmin ymin xmax ymax)].  An image, and each band
+    of a composite, is [(image nrow ncol ptype label (block i))] where
+    [i = block img] is the index under which the caller stores the
+    image's raw block ({!write_pixels}).  Matrices and vectors are
+    listed in full; every float is a [%h] hex literal, so the encoding
+    round-trips bit for bit (NaN payloads aside). *)
+
+val of_sexp : block:(int -> block option) -> Sexp.t -> (t, string) result
+(** Inverse of {!to_sexp}; [block i] is the raw block stored under
+    index [i].  An image may instead list its pixels as [%h] atoms
+    after the label — the text save format before pixel blocks.
+    Malformed input, including a pixel count, block length or cell
+    count that disagrees with the stated dimensions or a block index
+    [block] does not know, is an [Error], never an exception. *)

@@ -1,3 +1,9 @@
+type save_check =
+  | Magic
+  | Version
+  | Length
+  | Checksum
+
 type t =
   | Unknown_class of string
   | Unknown_process of { name : string; version : int option }
@@ -15,6 +21,7 @@ type t =
   | Io_error of string
   | Not_derivable of string
   | Invalid of string
+  | Bad_save of { check : save_check; detail : string }
   | Context of string * t
 
 let rec to_string = function
@@ -38,6 +45,14 @@ let rec to_string = function
   | Io_error m
   | Not_derivable m
   | Invalid m -> m
+  | Bad_save { check; detail } ->
+    Printf.sprintf "bad save file (%s check): %s"
+      (match check with
+       | Magic -> "magic"
+       | Version -> "version"
+       | Length -> "length"
+       | Checksum -> "checksum")
+      detail
   | Context (where, e) -> Printf.sprintf "%s: %s" where (to_string e)
 
 let pp fmt e = Format.pp_print_string fmt (to_string e)

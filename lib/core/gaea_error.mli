@@ -8,6 +8,16 @@
     carry the full message verbatim so legacy call sites migrate
     without changing their wording. *)
 
+(** The integrity checks a binary save file passes before anything in
+    it is restored (see [Persist.load]). *)
+type save_check =
+  | Magic  (** The file starts with neither the container magic nor '('. *)
+  | Version  (** The container names a format version this build cannot read. *)
+  | Length
+      (** The file is shorter than its header and trailer, or a section
+          or block length runs past the end or leaves bytes over. *)
+  | Checksum  (** The trailer digest disagrees with the bytes before it. *)
+
 type t =
   | Unknown_class of string
   | Unknown_process of { name : string; version : int option }
@@ -30,6 +40,8 @@ type t =
   | Not_derivable of string
       (** The derivation manager found no plan for a request. *)
   | Invalid of string  (** Catch-all for invariant violations. *)
+  | Bad_save of { check : save_check; detail : string }
+      (** A save file failed [check]; nothing was restored. *)
   | Context of string * t
       (** [Context (where, e)]: [e] occurred while doing [where]. *)
 

@@ -18,7 +18,7 @@ let atom_of = function
   | Sexp.List _ -> Gaea_error.err "expected atom"
 
 let parse_error r = Result.map_error (fun e -> Gaea_error.Parse_error e) r
-let value_of_sexp s = parse_error (Value.of_sexp s)
+let value_of_sexp ~block s = parse_error (Value.of_sexp ~block s)
 
 let map_m f items =
   List.fold_left
@@ -33,14 +33,16 @@ let iter_m f items =
   List.fold_left (fun acc x -> Result.bind acc (fun () -> f x)) (Ok ()) items
 
 (* process parameters and task parameters share one encoding *)
-let params_to_sexp params =
+let params_to_sexp ~block params =
   Sexp.list
-    (List.map (fun (n, v) -> Sexp.list [ Sexp.atom n; Value.to_sexp v ]) params)
+    (List.map
+       (fun (n, v) -> Sexp.list [ Sexp.atom n; Value.to_sexp ~block v ])
+       params)
 
-let params_of_sexp =
+let params_of_sexp ~block =
   map_m (function
     | Sexp.List [ Sexp.Atom n; v ] ->
-      Result.map (fun v -> (n, v)) (value_of_sexp v)
+      Result.map (fun v -> (n, v)) (value_of_sexp ~block v)
     | _ -> Gaea_error.err "malformed parameter")
 
 (* --- schema --------------------------------------------------------- *)
@@ -82,29 +84,32 @@ let class_of_sexp = function
 
 (* --- template ------------------------------------------------------- *)
 
-let rec expr_to_sexp = function
-  | Template.Const v -> Sexp.list [ Sexp.atom "const"; Value.to_sexp v ]
+let rec expr_to_sexp ~block = function
+  | Template.Const v -> Sexp.list [ Sexp.atom "const"; Value.to_sexp ~block v ]
   | Template.Attr_of (a, attr) ->
     Sexp.list [ Sexp.atom "attr"; Sexp.atom a; Sexp.atom attr ]
   | Template.Param p -> Sexp.list [ Sexp.atom "param"; Sexp.atom p ]
-  | Template.Anyof e -> Sexp.list [ Sexp.atom "anyof"; expr_to_sexp e ]
+  | Template.Anyof e -> Sexp.list [ Sexp.atom "anyof"; expr_to_sexp ~block e ]
   | Template.Apply (op, args) ->
-    Sexp.list (Sexp.atom "apply" :: Sexp.atom op :: List.map expr_to_sexp args)
+    Sexp.list
+      (Sexp.atom "apply" :: Sexp.atom op :: List.map (expr_to_sexp ~block) args)
 
-let rec expr_of_sexp = function
+let rec expr_of_sexp ~block = function
   | Sexp.List [ Sexp.Atom "const"; v ] ->
-    Result.map (fun v -> Template.Const v) (value_of_sexp v)
+    Result.map (fun v -> Template.Const v) (value_of_sexp ~block v)
   | Sexp.List [ Sexp.Atom "attr"; Sexp.Atom a; Sexp.Atom attr ] ->
     Ok (Template.Attr_of (a, attr))
   | Sexp.List [ Sexp.Atom "param"; Sexp.Atom p ] -> Ok (Template.Param p)
   | Sexp.List [ Sexp.Atom "anyof"; e ] ->
-    Result.map (fun e -> Template.Anyof e) (expr_of_sexp e)
+    Result.map (fun e -> Template.Anyof e) (expr_of_sexp ~block e)
   | Sexp.List (Sexp.Atom "apply" :: Sexp.Atom op :: args) ->
-    Result.map (fun args -> Template.Apply (op, args)) (map_m expr_of_sexp args)
+    Result.map
+      (fun args -> Template.Apply (op, args))
+      (map_m (expr_of_sexp ~block) args)
   | _ -> Gaea_error.err "malformed expression"
 
-let assertion_to_sexp = function
-  | Template.Expr_true e -> Sexp.list [ Sexp.atom "expr"; expr_to_sexp e ]
+let assertion_to_sexp ~block = function
+  | Template.Expr_true e -> Sexp.list [ Sexp.atom "expr"; expr_to_sexp ~block e ]
   | Template.Common_space a -> Sexp.list [ Sexp.atom "common-space"; Sexp.atom a ]
   | Template.Common_time a -> Sexp.list [ Sexp.atom "common-time"; Sexp.atom a ]
   | Template.Card_eq (a, n) ->
@@ -112,9 +117,9 @@ let assertion_to_sexp = function
   | Template.Card_ge (a, n) ->
     Sexp.list [ Sexp.atom "card-ge"; Sexp.atom a; iatom n ]
 
-let assertion_of_sexp = function
+let assertion_of_sexp ~block = function
   | Sexp.List [ Sexp.Atom "expr"; e ] ->
-    Result.map (fun e -> Template.Expr_true e) (expr_of_sexp e)
+    Result.map (fun e -> Template.Expr_true e) (expr_of_sexp ~block e)
   | Sexp.List [ Sexp.Atom "common-space"; Sexp.Atom a ] ->
     Ok (Template.Common_space a)
   | Sexp.List [ Sexp.Atom "common-time"; Sexp.Atom a ] ->
@@ -125,24 +130,27 @@ let assertion_of_sexp = function
     Result.map (fun n -> Template.Card_ge (a, n)) (parse_int n)
   | _ -> Gaea_error.err "malformed assertion"
 
-let template_to_sexp (t : Template.t) =
+let template_to_sexp ~block (t : Template.t) =
   Sexp.list
     [ Sexp.atom "template";
-      Sexp.list (List.map assertion_to_sexp t.Template.assertions);
+      Sexp.list (List.map (assertion_to_sexp ~block) t.Template.assertions);
       Sexp.list
         (List.map
            (fun m ->
-             Sexp.list [ Sexp.atom m.Template.target; expr_to_sexp m.Template.rhs ])
+             Sexp.list
+               [ Sexp.atom m.Template.target; expr_to_sexp ~block m.Template.rhs ])
            t.Template.mappings) ]
 
-let template_of_sexp = function
+let template_of_sexp ~block = function
   | Sexp.List [ Sexp.Atom "template"; Sexp.List assertions; Sexp.List mappings ] ->
-    let* assertions = map_m assertion_of_sexp assertions in
+    let* assertions = map_m (assertion_of_sexp ~block) assertions in
     let* mappings =
       map_m
         (function
           | Sexp.List [ Sexp.Atom target; rhs ] ->
-            Result.map (fun rhs -> { Template.target; rhs }) (expr_of_sexp rhs)
+            Result.map
+              (fun rhs -> { Template.target; rhs })
+              (expr_of_sexp ~block rhs)
           | _ -> Gaea_error.err "malformed mapping")
         mappings
     in
@@ -173,10 +181,11 @@ let arg_of_sexp = function
     else Ok (Process.setof_arg ~card_min ?card_max name cls)
   | _ -> Gaea_error.err "malformed argument"
 
-let process_to_sexp (p : Process.t) =
+let process_to_sexp ~block (p : Process.t) =
   let kind =
     match p.Process.kind with
-    | Process.Primitive t -> Sexp.list [ Sexp.atom "primitive"; template_to_sexp t ]
+    | Process.Primitive t ->
+      Sexp.list [ Sexp.atom "primitive"; template_to_sexp ~block t ]
     | Process.Compound steps ->
       Sexp.list
         (Sexp.atom "compound"
@@ -200,25 +209,25 @@ let process_to_sexp (p : Process.t) =
       iatom p.Process.version;
       Sexp.atom p.Process.output_class;
       Sexp.list (List.map arg_to_sexp p.Process.args);
-      params_to_sexp p.Process.params;
+      params_to_sexp ~block p.Process.params;
       kind;
       Sexp.atom p.Process.doc;
       (match p.Process.derived_from with
        | Some (n, v) -> Sexp.list [ Sexp.atom n; iatom v ]
        | None -> Sexp.atom "-") ]
 
-let process_of_sexp = function
+let process_of_sexp ~block = function
   | Sexp.List
       [ Sexp.Atom "process"; Sexp.Atom name; version; Sexp.Atom output;
         Sexp.List args; Sexp.List params; kind; Sexp.Atom doc; derived_from ]
     ->
     let* version = parse_int version in
     let* args = map_m arg_of_sexp args in
-    let* params = params_of_sexp params in
+    let* params = params_of_sexp ~block params in
     let* base =
       match kind with
       | Sexp.List [ Sexp.Atom "primitive"; t ] ->
-        let* template = template_of_sexp t in
+        let* template = template_of_sexp ~block t in
         Process.define_primitive ~name ~doc ~output_class:output ~args ~params
           ~template ()
       | Sexp.List (Sexp.Atom "compound" :: steps) ->
@@ -303,7 +312,7 @@ let restore_concepts kernel = function
 
 (* --- objects -------------------------------------------------------- *)
 
-let objects_to_sexp kernel (c : Schema.t) =
+let objects_to_sexp ~block kernel (c : Schema.t) =
   let cls = c.Schema.c_name in
   let attrs = Schema.attr_names c in
   Sexp.list
@@ -314,12 +323,12 @@ let objects_to_sexp kernel (c : Schema.t) =
               (iatom oid
                :: List.map
                     (fun a ->
-                      Value.to_sexp
+                      Value.to_sexp ~block
                         (Option.get (Kernel.object_attr kernel ~cls oid a)))
                     attrs))
           (Kernel.objects_of_class kernel cls))
 
-let restore_objects kernel = function
+let restore_objects ~block kernel = function
   | Sexp.List (Sexp.Atom "objects" :: Sexp.Atom cls :: rows) ->
     (match Kernel.find_class kernel cls with
      | None -> Gaea_error.err ("objects for unknown class " ^ cls)
@@ -329,7 +338,7 @@ let restore_objects kernel = function
          (function
            | Sexp.List (oid :: values) when List.length values = List.length attrs ->
              let* oid = parse_int oid in
-             let* values = map_m value_of_sexp values in
+             let* values = map_m (value_of_sexp ~block) values in
              Kernel.insert_object_with_oid kernel ~cls oid
                (List.combine attrs values)
            | _ -> Gaea_error.err "malformed object row")
@@ -338,7 +347,7 @@ let restore_objects kernel = function
 
 (* --- tasks ---------------------------------------------------------- *)
 
-let task_to_sexp (t : Task.t) =
+let task_to_sexp ~block (t : Task.t) =
   Sexp.list
     [ Sexp.atom "task";
       iatom t.Task.task_id;
@@ -348,12 +357,12 @@ let task_to_sexp (t : Task.t) =
         (List.map
            (fun (arg, oids) -> Sexp.list (Sexp.atom arg :: List.map iatom oids))
            t.Task.inputs);
-      params_to_sexp t.Task.params;
+      params_to_sexp ~block t.Task.params;
       Sexp.list (List.map iatom t.Task.outputs);
       Sexp.atom t.Task.output_class;
       iatom t.Task.clock ]
 
-let task_of_sexp = function
+let task_of_sexp ~block = function
   | Sexp.List
       [ Sexp.Atom "task"; id; Sexp.Atom process; version; Sexp.List inputs;
         Sexp.List params; Sexp.List outputs; Sexp.Atom output_class; clock ]
@@ -368,7 +377,7 @@ let task_of_sexp = function
           | _ -> Gaea_error.err "malformed input binding")
         inputs
     in
-    let* params = params_of_sexp params in
+    let* params = params_of_sexp ~block params in
     let* outputs = map_m parse_int outputs in
     let* clock = parse_int clock in
     Ok
@@ -402,8 +411,9 @@ let restore_cache_stats kernel = function
 
 (* --- whole kernel ---------------------------------------------------- *)
 
-let save kernel =
-  let buf = Buffer.create 8192 in
+(* The sections, one s-expression per line, appended to [buf]; each
+   image is registered with [block] and stands for its raw block. *)
+let write_metadata ~block buf kernel =
   let emit s =
     Buffer.add_string buf (Sexp.to_string s);
     Buffer.add_char buf '\n'
@@ -411,20 +421,19 @@ let save kernel =
   List.iter (fun c -> emit (class_to_sexp c)) (Kernel.classes kernel);
   emit (concepts_to_sexp (Kernel.concepts kernel));
   List.iter
-    (fun p -> emit (process_to_sexp p))
+    (fun p -> emit (process_to_sexp ~block p))
     (Kernel.all_process_versions kernel);
-  List.iter (fun c -> emit (objects_to_sexp kernel c)) (Kernel.classes kernel);
-  List.iter (fun task -> emit (task_to_sexp task)) (Kernel.tasks kernel);
-  emit (cache_stats_to_sexp kernel);
-  Buffer.contents buf
+  List.iter (fun c -> emit (objects_to_sexp ~block kernel c)) (Kernel.classes kernel);
+  List.iter (fun task -> emit (task_to_sexp ~block task)) (Kernel.tasks kernel);
+  emit (cache_stats_to_sexp kernel)
 
-let load text =
+let restore ~block text =
   let* sexps = parse_error (Sexp.of_string_many text) in
   let kernel = Kernel.create () in
   (* compound processes reference their primitive sub-processes, so
      restore processes primitives-first regardless of file order *)
   let* parsed_processes =
-    map_m process_of_sexp
+    map_m (process_of_sexp ~block)
       (List.filter
          (function Sexp.List (Sexp.Atom "process" :: _) -> true | _ -> false)
          sexps)
@@ -448,9 +457,10 @@ let load text =
     iter_m
       (fun sexp ->
         match sexp with
-        | Sexp.List (Sexp.Atom "objects" :: _) -> restore_objects kernel sexp
+        | Sexp.List (Sexp.Atom "objects" :: _) ->
+          restore_objects ~block kernel sexp
         | Sexp.List (Sexp.Atom "task" :: _) ->
-          let* task = task_of_sexp sexp in
+          let* task = task_of_sexp ~block sexp in
           Kernel.restore_task kernel task
         | Sexp.List (Sexp.Atom "cache-stats" :: _) ->
           (* counters survive the round trip; saves predating the
@@ -462,16 +472,135 @@ let load text =
   in
   Ok kernel
 
+(* --- container -------------------------------------------------------- *)
+
+(* A save file, format version 1, all integers little-endian:
+     magic     8 bytes, [magic] below
+     version   u32
+     metadata  u64 length, then the sections as text
+     blocks    u64 count, then per block a u64 length and the raw
+               pixels ([Value.write_pixels]); block i is the one an
+               image's [(block i)] names
+     trailer   the MD5 digest ([Digest]) of every byte before it
+   A file that starts with '(' is the text format before the
+   container: the same sections with every pixel listed inline. *)
+let magic = "\x89GAEA\r\n\x1a"
+let version = 1
+let digest_len = 16
+let header_len = String.length magic + 4
+let u64_len = 8
+
+let save kernel =
+  let images = ref [] and count = ref 0 in
+  let block img =
+    images := img :: !images;
+    incr count;
+    !count - 1
+  in
+  let meta = Buffer.create 8192 in
+  write_metadata ~block meta kernel;
+  let images = List.rev !images in
+  let meta_len = Buffer.length meta in
+  let size =
+    List.fold_left
+      (fun acc img -> acc + u64_len + Value.pixel_bytes img)
+      (header_len + u64_len + meta_len + u64_len + digest_len)
+      images
+  in
+  let b = Bytes.create size in
+  let put_u64 pos n = Bytes.set_int64_le b pos (Int64.of_int n) in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  Bytes.set_int32_le b (String.length magic) (Int32.of_int version);
+  put_u64 header_len meta_len;
+  Buffer.blit meta 0 b (header_len + u64_len) meta_len;
+  let pos = ref (header_len + u64_len + meta_len) in
+  put_u64 !pos !count;
+  pos := !pos + u64_len;
+  List.iter
+    (fun img ->
+      let n = Value.pixel_bytes img in
+      put_u64 !pos n;
+      Value.write_pixels img b (!pos + u64_len);
+      pos := !pos + u64_len + n)
+    images;
+  Bytes.blit_string (Digest.subbytes b 0 !pos) 0 b !pos digest_len;
+  Bytes.unsafe_to_string b
+
+let bad check fmt =
+  Printf.ksprintf
+    (fun detail -> Error (Gaea_error.Bad_save { check; detail }))
+    fmt
+
+(* Check magic, version, checksum and every length; return the
+   metadata text and the pixel blocks. *)
+let open_container s =
+  let n = String.length s in
+  let body = n - digest_len in
+  (* a u64 length field at [pos]: at least 0 and at most [limit] *)
+  let length_field what pos limit =
+    let v = String.get_int64_le s pos in
+    if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int limit) > 0 then
+      bad Gaea_error.Length "%s %Ld at byte %d is outside [0, %d]" what v pos
+        limit
+    else Ok (Int64.to_int v)
+  in
+  if n < String.length magic then
+    if String.starts_with ~prefix:s magic then
+      bad Gaea_error.Length "truncated at %d bytes, inside the magic" n
+    else bad Gaea_error.Magic "not a Gaea save file"
+  else if not (String.starts_with ~prefix:magic s) then
+    bad Gaea_error.Magic "not a Gaea save file"
+  else if n < header_len then
+    bad Gaea_error.Length "truncated at %d bytes, inside the header" n
+  else
+    let v = Int32.to_int (String.get_int32_le s (String.length magic)) in
+    if v <> version then
+      bad Gaea_error.Version "format version %d, this build reads %d" v version
+    else if body < header_len + (2 * u64_len) then
+      bad Gaea_error.Length "truncated at %d bytes, shorter than an empty save" n
+    else if not (String.equal (Digest.substring s 0 body)
+                   (String.sub s body digest_len))
+    then bad Gaea_error.Checksum "trailer digest does not match the contents"
+    else
+      let meta_off = header_len + u64_len in
+      let* meta_len =
+        length_field "metadata length" header_len (body - meta_off - u64_len)
+      in
+      let count_pos = meta_off + meta_len in
+      let* count =
+        length_field "block count" count_pos
+          ((body - count_pos - u64_len) / u64_len)
+      in
+      let blocks = Array.make count { Value.src = s; off = 0; len = 0 } in
+      let rec frame i pos =
+        if i = count then
+          if pos = body then Ok ()
+          else bad Gaea_error.Length "%d bytes after the last block" (body - pos)
+        else
+          let* len = length_field "block length" pos (body - pos - u64_len) in
+          blocks.(i) <- { Value.src = s; off = pos + u64_len; len };
+          frame (i + 1) (pos + u64_len + len)
+      in
+      let* () = frame 0 (count_pos + u64_len) in
+      Ok (String.sub s meta_off meta_len, blocks)
+
+let load s =
+  if String.length s > 0 && s.[0] = '(' then restore ~block:(fun _ -> None) s
+  else
+    let* meta, blocks = open_container s in
+    restore meta ~block:(fun i ->
+        if i >= 0 && i < Array.length blocks then Some blocks.(i) else None)
+
 let save_to_file kernel path =
-  let text = save kernel in
+  let data = save kernel in
   match
-    Filename.open_temp_file ~perms:0o666 ~temp_dir:(Filename.dirname path)
-      (Filename.basename path) ".tmp"
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+      ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
   with
   | exception Sys_error e -> Error (Gaea_error.Io_error e)
   | tmp, oc ->
     (try
-       output_string oc text;
+       output_string oc data;
        close_out oc;
        Sys.rename tmp path;
        Ok ()
@@ -482,7 +611,7 @@ let save_to_file kernel path =
 
 let load_from_file path =
   try
-    let ic = open_in path in
+    let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> load (really_input_string ic (in_channel_length ic)))

@@ -96,13 +96,15 @@ val of_array : ?label:string -> nrow:int -> ncol:int -> Pixel.t
 
 val unsafe_data : t -> float array
 (** The backing store (shared, not copied).  Mutating it bypasses
-    quantization; reserved for operator implementations in this library. *)
+    quantization; reserved for operator implementations in this library
+    and the save-file pixel codec, which only reads it. *)
 
 val unsafe_of_array : ?label:string -> nrow:int -> ncol:int -> Pixel.t
   -> float array -> t
 (** Wrap an array as an image {e without} copying or quantizing — the
     caller promises the values already fit the pixel type.  Reserved
-    for the fused kernels in {!Kernelized}.
+    for the fused kernels in {!Kernelized} and the save-file pixel
+    codec.
     @raise Invalid_argument if the array length is not [nrow*ncol]. *)
 
 val pp : Format.formatter -> t -> unit

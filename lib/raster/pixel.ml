@@ -38,7 +38,8 @@ let quantize t v =
     else
       let lo = min_value t and hi = max_value t in
       let r = Float.round v in
-      if r < lo then lo else if r > hi then hi else r
+      (* rounding leaves -0 for (-0.5, -0]; integral storage has one zero *)
+      if r < lo then lo else if r > hi then hi else if r = 0. then 0. else r
 
 let to_string = function
   | Char -> "char"

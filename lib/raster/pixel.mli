@@ -19,7 +19,7 @@ val quantize : t -> float -> float
 (** Round/clamp a computed value to what the storage type can hold.
     [Float8] is the identity; [Float4] rounds to single precision;
     integral types round-to-nearest and saturate at their bounds.
-    NaN quantizes to 0 for integral types. *)
+    NaN and −0 quantize to 0 for integral types. *)
 
 val min_value : t -> float
 val max_value : t -> float

@@ -126,9 +126,26 @@ let sample_values =
     Value.set [ Value.int 1; Value.set [ Value.string "nested" ] ];
     Value.set [] ]
 
-(* a value as the save file carries it: the codec, printed and parsed *)
-let value_of_text s = Result.bind (Sexp.of_string s) Value.of_sexp
-let value_roundtrip v = value_of_text (Sexp.to_string (Value.to_sexp v))
+(* a value as the save file carries it: the codec, printed and parsed,
+   with each image's pixels in its own raw block *)
+let value_of_text ?(blocks = [||]) s =
+  let block i =
+    if i >= 0 && i < Array.length blocks then
+      Some { Value.src = blocks.(i); off = 0; len = String.length blocks.(i) }
+    else None
+  in
+  Result.bind (Sexp.of_string s) (Value.of_sexp ~block)
+
+let value_roundtrip v =
+  let blocks = ref [] in
+  let block img =
+    let b = Bytes.create (Value.pixel_bytes img) in
+    Value.write_pixels img b 0;
+    blocks := Bytes.to_string b :: !blocks;
+    List.length !blocks - 1
+  in
+  let text = Sexp.to_string (Value.to_sexp ~block v) in
+  value_of_text ~blocks:(Array.of_list (List.rev !blocks)) text
 
 let test_value_serialize_roundtrip () =
   List.iter
@@ -166,7 +183,16 @@ let test_value_accessors () =
     (Result.is_ok (Value.to_composite (Value.image sample_image)));
   check_bool "deserialize garbage" true (Result.is_error (value_of_text "(nope 1)"));
   check_bool "deserialize malformed box" true
-    (Result.is_error (value_of_text "(box 1 2)"))
+    (Result.is_error (value_of_text "(box 1 2)"));
+  check_bool "unknown pixel block" true
+    (Result.is_error (value_of_text "(image 1 2 char x (block 0))"));
+  check_bool "short pixel block" true
+    (Result.is_error
+       (value_of_text ~blocks:[| "\001" |] "(image 1 2 char x (block 0))"));
+  check_bool "inline pixels (text save format)" true
+    (match value_of_text "(image 1 2 int2 x 0x1p+0 -0x1p+1)" with
+     | Ok (Value.VImage i) -> Image.to_list i = [ 1.; -2. ]
+     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Operator                                                            *)

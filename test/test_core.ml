@@ -943,9 +943,23 @@ let test_persist_save_rename_fails () =
     (read_file (Filename.concat target "keep"));
   remove_tree dir
 
-(* test/fixtures/pipeline.save was written by [gaea run --save] on
-   examples/pipeline.gaea; it pins the save-file format byte for byte *)
-let fixture = "fixtures/pipeline.save"
+(* test/fixtures/pipeline-v1.save was written by [gaea run --save] on
+   examples/pipeline.gaea; it pins the save-file format byte for byte.
+   test/fixtures/pipeline.save is the same kernel in the text format
+   that predates the binary container. *)
+let fixture = "fixtures/pipeline-v1.save"
+let legacy_fixture = "fixtures/pipeline.save"
+
+let check_all_verify k =
+  check_bool "fixture has tasks" true (Kernel.tasks k <> []);
+  List.iter
+    (fun (t : Task.t) ->
+      List.iter
+        (fun oid ->
+          check_bool (Printf.sprintf "object %d verifies" oid) true
+            (ok (Lineage.verify_object k oid)))
+        t.Task.outputs)
+    (Kernel.tasks k)
 
 let test_persist_golden_fixture () =
   let golden = read_file fixture in
@@ -956,15 +970,13 @@ let test_persist_golden_fixture () =
     (Persist.save (Gaea_query.Session.kernel session));
   let k = ok (Persist.load golden) in
   check_str "load then save reproduces the fixture" golden (Persist.save k);
-  check_bool "fixture has tasks" true (Kernel.tasks k <> []);
-  List.iter
-    (fun (t : Task.t) ->
-      List.iter
-        (fun oid ->
-          check_bool (Printf.sprintf "object %d verifies" oid) true
-            (ok (Lineage.verify_object k oid)))
-        t.Task.outputs)
-    (Kernel.tasks k)
+  check_all_verify k
+
+let test_persist_legacy_fixture () =
+  let k = ok (Persist.load (read_file legacy_fixture)) in
+  check_str "text save loads to the same kernel" (read_file fixture)
+    (Persist.save k);
+  check_all_verify k
 
 (* a saved kernel with every section populated: a concept hierarchy,
    an edited process, objects and a task *)
@@ -984,34 +996,169 @@ let small_save =
      ignore (ok (Kernel.execute_process k v1 ~inputs:binding));
      Persist.save k)
 
-let load_never_raises text =
+(* any error will do: a first byte corrupted to '(' sends the file to
+   the text reader, which rejects it with a parse error *)
+let load_rejected text =
   match Persist.load text with
-  | Ok _ | Error _ -> true
+  | Error _ -> true
+  | Ok _ -> QCheck.Test.fail_report "loaded"
   | exception e ->
     QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e)
 
 let test_persist_truncations () =
+  (* the container's lengths and trailer reject every proper prefix *)
   List.iter
     (fun text ->
-      for n = 0 to String.length text do
+      for n = 0 to String.length text - 1 do
         match Persist.load (String.sub text 0 n) with
-        | Ok _ | Error _ -> ()
+        | Error (Gaea_error.Bad_save _) -> ()
+        | Error e ->
+          Alcotest.failf "prefix of %d bytes: untyped error %s" n
+            (Gaea_error.to_string e)
+        | Ok _ -> Alcotest.failf "prefix of %d bytes loaded" n
         | exception e ->
           Alcotest.failf "prefix of %d bytes raised %s" n (Printexc.to_string e)
       done)
-    [ Lazy.force small_save; read_file fixture ]
+    [ Lazy.force small_save; read_file fixture ];
+  (* text has no trailer: a legacy file cut at a line boundary can
+     still load short, so it is only held to never raising *)
+  let text = read_file legacy_fixture in
+  for n = 0 to String.length text do
+    match Persist.load (String.sub text 0 n) with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+      Alcotest.failf "legacy prefix of %d bytes raised %s" n
+        (Printexc.to_string e)
+  done
 
 let corruption_prop =
-  QCheck.Test.make ~name:"single-byte corruptions never raise" ~count:500
-    QCheck.(pair (int_bound 1_000_000) char)
-    (fun (pos, c) ->
-      let text = Bytes.of_string (Lazy.force small_save) in
-      Bytes.set text (pos mod Bytes.length text) c;
-      load_never_raises (Bytes.to_string text))
+  QCheck.Test.make ~name:"single-byte corruptions are rejected" ~count:600
+    QCheck.(triple bool (int_bound 1_000_000) (int_range 1 255))
+    (fun (fixture_file, pos, flip) ->
+      let text =
+        Bytes.of_string
+          (if fixture_file then read_file fixture else Lazy.force small_save)
+      in
+      let pos = pos mod Bytes.length text in
+      Bytes.set text pos (Char.chr (Char.code (Bytes.get text pos) lxor flip));
+      load_rejected (Bytes.to_string text))
+
+(* Pixels of every storage type survive save and load bit for bit,
+   edge values included. *)
+let edge_pixels = function
+  (* -0 and (-0.5, 0) quantize to 0 in integral storage *)
+  | Pixel.Char -> [| 0.; 255.; 1.; 128.; 254.; -0.; -0.3 |]
+  | Pixel.Int2 -> [| -32768.; 32767.; 0.; -1.; 1.; -0.; -0.3 |]
+  | Pixel.Int4 -> [| -2147483648.; 2147483647.; 0.; -1.; 65536.; -0.; -0.3 |]
+  | Pixel.Float4 | Pixel.Float8 ->
+    [| -0.; 0.; infinity; neg_infinity; nan; -.nan; 1e-45; 3.4028234663852886e38;
+       Float.min_float; Float.max_float; 4.9e-324; -1.5 |]
+
+let pixel_image_gen =
+  QCheck.Gen.(
+    let* ptype = oneofl Pixel.all in
+    let* nrow = int_range 1 64 in
+    let* ncol = int_range 1 64 in
+    let edges = edge_pixels ptype in
+    let* pixels =
+      array_size (return (nrow * ncol))
+        (frequency
+           [ (1, oneofa edges);
+             (1, float);
+             (1, map float_of_int (int_range (-40000) 40000)) ])
+    in
+    return (nrow, ncol, ptype, pixels))
+
+let composite_gen =
+  QCheck.Gen.(
+    let* nrow, ncol, ptype, pixels = pixel_image_gen in
+    let* extra = list_size (int_range 0 3) (oneofl Pixel.all) in
+    let band i pt =
+      Image.of_array ~label:(Printf.sprintf "b%d" i) ~nrow ~ncol pt
+        (Array.map (fun v -> v +. float_of_int i) pixels)
+    in
+    return
+      (Image.of_array ~label:"img" ~nrow ~ncol ptype pixels,
+       List.mapi band (ptype :: extra)))
+
+let pixel_bits img = Array.map Int64.bits_of_float (Array.of_list (Image.to_list img))
+
+let same_image a b =
+  Image.img_nrow a = Image.img_nrow b
+  && Image.img_ncol a = Image.img_ncol b
+  && Pixel.equal (Image.img_type a) (Image.img_type b)
+  && Image.img_label a = Image.img_label b
+  && pixel_bits a = pixel_bits b
+
+let pixel_roundtrip_prop =
+  QCheck.Test.make ~name:"pixels round-trip bit for bit" ~count:300
+    (QCheck.make composite_gen)
+    (fun (img, bands) ->
+      let k = Kernel.create () in
+      ok
+        (Kernel.define_class k
+           (ok
+              (Schema.define ~name:"px"
+                 ~attributes:[ ("img", Vtype.Image); ("bands", Vtype.Composite) ]
+                 ())));
+      let comp = Gaea_raster.Composite.of_bands bands in
+      let oid =
+        ok
+          (Kernel.insert_object k ~cls:"px"
+             [ ("img", Value.image img); ("bands", Value.composite comp) ])
+      in
+      let k2 = ok (Persist.load (Persist.save k)) in
+      match
+        ( Kernel.object_attr k2 ~cls:"px" oid "img",
+          Kernel.object_attr k2 ~cls:"px" oid "bands" )
+      with
+      | Some (Value.VImage img2), Some (Value.VComposite comp2) ->
+        same_image img img2
+        && List.length bands = Gaea_raster.Composite.n_bands comp2
+        && List.for_all2 same_image bands (Gaea_raster.Composite.bands comp2)
+      | _ -> false)
 
 let test_persist_garbage () =
   check_bool "garbage rejected" true (Result.is_error (Persist.load "(what)"));
-  check_bool "empty ok" true (Result.is_ok (Persist.load ""))
+  (match Persist.load "" with
+   | Error (Gaea_error.Bad_save { check = Gaea_error.Length; _ }) -> ()
+   | Error e -> Alcotest.failf "empty: wrong error %s" (Gaea_error.to_string e)
+   | Ok _ -> Alcotest.fail "empty rejected");
+  let golden = read_file fixture in
+  let with_byte pos c =
+    String.mapi (fun i x -> if i = pos then c else x) golden
+  in
+  let check_fails name check text =
+    match Persist.load text with
+    | Error (Gaea_error.Bad_save { check = c; _ }) when c = check -> ()
+    | Error e -> Alcotest.failf "%s: wrong error %s" name (Gaea_error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: loaded" name
+  in
+  check_fails "bad magic" Gaea_error.Magic (with_byte 1 'X');
+  check_bool "magic turned text rejected" true
+    (Result.is_error (Persist.load (with_byte 0 '(')));
+  check_fails "future version" Gaea_error.Version (with_byte 8 '\002');
+  check_fails "flipped pixel" Gaea_error.Checksum
+    (with_byte (String.length golden - 40) '\255');
+  check_fails "extra byte" Gaea_error.Checksum (golden ^ "\000");
+  (* bad lengths behind a valid checksum: re-seal the edited body *)
+  let body = String.sub golden 0 (String.length golden - 16) in
+  let sealed body = body ^ Digest.string body in
+  let with_u64 pos v =
+    let b = Bytes.of_string body in
+    Bytes.set_int64_le b pos v;
+    sealed (Bytes.to_string b)
+  in
+  let meta_len = Int64.to_int (String.get_int64_le golden 12) in
+  check_str "re-sealed golden is golden" golden (sealed body);
+  check_fails "metadata past the end" Gaea_error.Length (with_u64 12 1_000_000L);
+  check_fails "negative metadata length" Gaea_error.Length (with_u64 12 (-1L));
+  check_fails "block count too high" Gaea_error.Length
+    (with_u64 (20 + meta_len) 4L);
+  check_fails "block past the end" Gaea_error.Length
+    (with_u64 (28 + meta_len) 1_000_000L);
+  check_fails "bytes after the last block" Gaea_error.Length
+    (sealed (body ^ "\000"))
 
 (* ------------------------------------------------------------------ *)
 (* Template corner cases                                               *)
@@ -1090,6 +1237,8 @@ let () =
           tc "file roundtrip" test_persist_file_roundtrip;
           tc "failed rename keeps target" test_persist_save_rename_fails;
           tc "golden fixture" test_persist_golden_fixture;
-          tc "truncations never raise" test_persist_truncations;
-          QCheck_alcotest.to_alcotest corruption_prop ] );
+          tc "legacy text fixture" test_persist_legacy_fixture;
+          tc "truncations rejected" test_persist_truncations;
+          QCheck_alcotest.to_alcotest corruption_prop;
+          QCheck_alcotest.to_alcotest pixel_roundtrip_prop ] );
       ("template", [ tc "introspection" test_template_introspection ]) ]
